@@ -381,9 +381,10 @@ pub fn explore(
                 cache.hits += ev.cache.hits;
                 cache.misses += ev.cache.misses;
                 cache.invalidations += ev.cache.invalidations;
-                // Simulator phase attribution: phantom-trace vs analytical
-                // model wall time per candidate.
+                // Simulator phase attribution: phantom-trace (of which
+                // lowering) vs analytical model wall time per candidate.
                 metrics.record_duration("estimate_trace_micros", ev.estimate.trace_micros);
+                metrics.record_duration("estimate_lower_micros", ev.estimate.lower_micros);
                 metrics.record_duration("estimate_model_micros", ev.estimate.model_micros);
                 metrics.record(ev.candidate.label(), ev.estimate.counter_snapshot());
                 events.push(TraceEvent::CandidateEvaluated {
@@ -649,6 +650,7 @@ fn evaluate_candidate(
         .layouts(&st.kernel, &st.bindings)
         .map_err(|e| rejected(e.to_string()))?;
     let estimate_span = cand_span.child("estimate", "estimate");
+    let estimate_started = Instant::now();
     let estimate = gpgpu_sim::estimate_prepared(
         &st.kernel,
         &cfg,
@@ -674,6 +676,15 @@ fn evaluate_candidate(
         PerfError::DoesNotFit(msg) => rejected(msg),
         other => rejected(other.to_string()),
     })?;
+    // The simulator has no profiler handle; it reports how long lowering
+    // took, and lowering is the first thing a trace does.
+    opts.profiler.record_span_between(
+        Some(estimate_span.id()),
+        "lower",
+        "estimate",
+        estimate_started,
+        estimate_started + Duration::from_micros(estimate.lower_micros),
+    );
     drop(estimate_span);
     let candidate = Candidate {
         block_merge_x: bx,

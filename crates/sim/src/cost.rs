@@ -146,6 +146,7 @@ impl CostModel for AnalyticModel {
         let started = std::time::Instant::now();
         let mut est = finish(kernel, cfg, machine, t.blocks_per_sm, t.stats);
         est.trace_micros = t.trace_micros;
+        est.lower_micros = t.lower_micros;
         est.model_micros = t.occupancy_micros + started.elapsed().as_micros() as u64;
         Ok(est)
     }
@@ -188,6 +189,7 @@ impl CostModel for HierarchyModel {
             .scaled(t.factor);
         let mut est = finish_hierarchy(kernel, cfg, machine, t.blocks_per_sm, t.stats, hstats);
         est.trace_micros = t.trace_micros;
+        est.lower_micros = t.lower_micros;
         est.model_micros = t.occupancy_micros + started.elapsed().as_micros() as u64;
         Ok(est)
     }
@@ -272,6 +274,7 @@ pub fn finish_hierarchy(
         partition_imbalance: hstats.busy_imbalance(),
         coalescing_efficiency: stats.coalescing_efficiency(),
         trace_micros: 0,
+        lower_micros: 0,
         model_micros: 0,
         hierarchy: Some(hstats),
         stats,

@@ -104,13 +104,28 @@ impl Buffer {
 
     /// Reads the element at `indices`.
     pub fn read(&self, indices: &[i64]) -> Result<Val, DeviceError> {
-        let off = self.elem_offset(indices)?;
+        Ok(self.load(self.elem_offset(indices)? as usize))
+    }
+
+    /// Writes the element at `indices`.
+    pub fn write(&mut self, indices: &[i64], v: Val) -> Result<(), DeviceError> {
+        self.store(self.elem_offset(indices)? as usize, v);
+        Ok(())
+    }
+
+    /// True for address-only buffers ([`Device::alloc_phantom`]).
+    pub(crate) fn is_phantom(&self) -> bool {
+        self.phantom
+    }
+
+    /// Reads the element at an (already bounds-checked) element offset.
+    pub(crate) fn load(&self, off: usize) -> Val {
         if self.phantom {
-            return Ok(Val::zero(self.layout.elem));
+            return Val::zero(self.layout.elem);
         }
         let lanes = self.layout.elem.lanes() as usize;
-        let base = off as usize * lanes;
-        Ok(match lanes {
+        let base = off * lanes;
+        match lanes {
             1 => Val::F(self.data[base]),
             2 => Val::F2([self.data[base], self.data[base + 1]]),
             _ => Val::F4([
@@ -119,22 +134,20 @@ impl Buffer {
                 self.data[base + 2],
                 self.data[base + 3],
             ]),
-        })
+        }
     }
 
-    /// Writes the element at `indices`.
-    pub fn write(&mut self, indices: &[i64], v: Val) -> Result<(), DeviceError> {
-        let off = self.elem_offset(indices)?;
+    /// Writes the element at an (already bounds-checked) element offset.
+    pub(crate) fn store(&mut self, off: usize, v: Val) {
         if self.phantom {
-            return Ok(());
+            return;
         }
         let lanes = self.layout.elem.lanes() as usize;
-        let base = off as usize * lanes;
+        let base = off * lanes;
         for lane in 0..lanes {
             self.data[base + lane] = v.component(lane).unwrap_or(0.0);
         }
-        self.shadow[off as usize] = true;
-        Ok(())
+        self.shadow[off] = true;
     }
 
     /// Uploads a logical row-major `f32` stream (no padding) into the
@@ -231,11 +244,15 @@ impl Buffer {
 }
 
 /// The simulated device: a machine description plus named global buffers.
+///
+/// Buffers live in dense slots (allocation order); the execution core
+/// resolves array names to slots once per launch.
 #[derive(Debug, Clone)]
 pub struct Device {
     /// Hardware description (drives the timing model and validation).
     pub machine: MachineDesc,
-    buffers: HashMap<String, Buffer>,
+    buffers: Vec<Buffer>,
+    slots: HashMap<String, usize>,
     next_base: i64,
 }
 
@@ -244,7 +261,8 @@ impl Device {
     pub fn new(machine: MachineDesc) -> Device {
         Device {
             machine,
-            buffers: HashMap::new(),
+            buffers: Vec::new(),
+            slots: HashMap::new(),
             next_base: 0,
         }
     }
@@ -280,44 +298,58 @@ impl Device {
         };
         // Allocations are 256-byte aligned, like the CUDA allocator.
         self.next_base += (buffer.size_bytes() + 255) / 256 * 256;
-        match self.buffers.entry(name) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                e.insert(buffer);
-                e.into_mut()
-            }
-            std::collections::hash_map::Entry::Vacant(e) => e.insert(buffer),
+        // Re-allocating a name replaces the buffer in its slot.
+        let slot = *self.slots.entry(name).or_insert(self.buffers.len());
+        if slot == self.buffers.len() {
+            self.buffers.push(buffer);
+        } else {
+            self.buffers[slot] = buffer;
         }
+        &mut self.buffers[slot]
+    }
+
+    /// The slot of the buffer named `name`, if allocated.
+    pub(crate) fn slot(&self, name: &str) -> Option<usize> {
+        self.slots.get(name).copied()
+    }
+
+    /// All buffers, indexed by slot.
+    pub(crate) fn slots(&self) -> &[Buffer] {
+        &self.buffers
+    }
+
+    /// All buffers, indexed by slot.
+    pub(crate) fn slots_mut(&mut self) -> &mut [Buffer] {
+        &mut self.buffers
     }
 
     /// The buffer named `name`.
     pub fn buffer(&self, name: &str) -> Result<&Buffer, DeviceError> {
-        self.buffers
-            .get(name)
+        self.slot(name)
+            .map(|s| &self.buffers[s])
             .ok_or_else(|| DeviceError::UnknownBuffer(name.to_string()))
     }
 
     /// Mutable access to the buffer named `name`.
     pub fn buffer_mut(&mut self, name: &str) -> Result<&mut Buffer, DeviceError> {
-        self.buffers
-            .get_mut(name)
-            .ok_or_else(|| DeviceError::UnknownBuffer(name.to_string()))
-    }
-
-    /// Names of all allocated buffers.
-    pub fn buffer_names(&self) -> Vec<String> {
-        self.buffers.keys().cloned().collect()
+        match self.slot(name) {
+            Some(s) => Ok(&mut self.buffers[s]),
+            None => Err(DeviceError::UnknownBuffer(name.to_string())),
+        }
     }
 
     /// Folds the buffer writes a block cluster performed on `theirs` (a
     /// clone of the pre-fork `snapshot` device) into this device. See
     /// [`Buffer::merge_writes`].
     pub fn merge_writes(&mut self, snapshot: &Device, theirs: &Device) {
-        for (name, ours) in self.buffers.iter_mut() {
-            if let (Some(snap), Some(their)) =
-                (snapshot.buffers.get(name), theirs.buffers.get(name))
-            {
-                ours.merge_writes(snap, their);
-            }
+        // `snapshot` and `theirs` are clones of this device, so slots agree.
+        for ((ours, snap), their) in self
+            .buffers
+            .iter_mut()
+            .zip(&snapshot.buffers)
+            .zip(&theirs.buffers)
+        {
+            ours.merge_writes(snap, their);
         }
     }
 }

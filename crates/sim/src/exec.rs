@@ -6,6 +6,20 @@
 //! is then a validity check rather than an operation — if it is reached with
 //! a divergent mask the kernel is broken, which the interpreter reports.
 //!
+//! A launch runs in two stages. Lowering (`lower.rs`) resolves the kernel
+//! once into a slot-indexed program; the block executor here runs it with
+//! every lane vector, mask and index buffer in arenas it reuses across
+//! statements, iterations and blocks. Values that are the same for every
+//! lane (loop counters, bound scalars, uniform subscripts, loads from
+//! address-only buffers) are computed once per warp-step, not per lane.
+//!
+//! What a launch observes is fixed (`tests/exec_golden.rs` pins it):
+//! operands evaluate left before right, subscripts in order, the
+//! right-hand side before the left-hand subscripts; every access runs
+//! sanitize → trace → data; each statement and each loop iteration costs
+//! one step; values are dynamically typed — an operation is floating
+//! point, and counts as a flop, when either operand is a float at run time.
+//!
 //! Kernels using the grid-wide `__gsync()` barrier of naive reduction
 //! kernels run in *mega-block* mode: the whole grid is one lane vector.
 //!
@@ -15,14 +29,12 @@
 //! in, shared-memory bank conflicts, and issued warp instructions. The
 //! timing model consumes these traces.
 
-use crate::device::{Buffer, Device, DeviceError};
+use crate::device::{Device, DeviceError};
+use crate::lower::{lower, AffineExpr, ArrayRef, Expr, Global, Loop, Place, Program, Stmt};
 use crate::sanitize::{SanitizerError, SanitizerKind, ShadowCell};
 use crate::value::Val;
 use gpgpu_analysis::Bindings;
-use gpgpu_ast::{
-    AccessSpans, BinOp, Builtin, Expr, Field, Kernel, LValue, LaunchConfig, Stmt, UnOp,
-};
-use std::collections::HashMap;
+use gpgpu_ast::{AccessSpans, BinOp, Kernel, LaunchConfig, ScalarType, UnOp};
 use std::fmt;
 
 /// Per-block statement-execution cap (runaway-loop guard).
@@ -324,10 +336,27 @@ impl From<SanitizerError> for ExecError {
     }
 }
 
+/// Runs `$body` for every active lane `$l` of `$mask`.
+macro_rules! lanes {
+    ($mask:expr, $l:ident, $body:block) => {{
+        let mask: &Mask = $mask;
+        if mask.full() {
+            #[allow(clippy::needless_range_loop)]
+            for $l in 0..mask.bits.len() $body
+        } else {
+            #[allow(clippy::needless_range_loop)]
+            for $l in 0..mask.bits.len() {
+                if mask.bits[$l] $body
+            }
+        }
+    }};
+}
+
 /// Executes a kernel launch on the device.
 ///
 /// Scalar parameters are bound from `bindings`; array parameters must have
-/// matching allocations in `device`.
+/// matching allocations in `device`. The kernel is lowered once and the
+/// lowered program is run block by block.
 ///
 /// # Errors
 ///
@@ -341,7 +370,12 @@ pub fn launch(
     device: &mut Device,
     opts: &ExecOptions,
 ) -> Result<ExecStats, ExecError> {
-    launch_with_sink(kernel, cfg, bindings, device, opts, &mut NullSink)
+    execute(
+        &lower(kernel, cfg, bindings, device)?,
+        device,
+        opts,
+        &mut NullSink,
+    )
 }
 
 /// [`launch`], but streaming every global-memory transaction into `sink`.
@@ -363,62 +397,23 @@ pub fn launch_with_sink(
     opts: &ExecOptions,
     sink: &mut dyn MemSink,
 ) -> Result<ExecStats, ExecError> {
-    let mut scalars: HashMap<String, i64> = HashMap::new();
-    let pragma_sizes = kernel.pragma_sizes();
-    for p in &kernel.params {
-        if p.kind() == gpgpu_ast::ParamKind::Scalar {
-            let v = bindings
-                .get(&p.name)
-                .or_else(|| pragma_sizes.get(&p.name))
-                .copied()
-                .ok_or_else(|| ExecError::UnboundScalar(p.name.clone()))?;
-            scalars.insert(p.name.clone(), v);
-        }
-    }
-    let mut stats = ExecStats {
+    execute(&lower(kernel, cfg, bindings, device)?, device, opts, sink)
+}
+
+/// Runs a lowered program over the launch's (sampled) blocks.
+pub(crate) fn execute<S: MemSink + ?Sized>(
+    program: &Program,
+    device: &mut Device,
+    opts: &ExecOptions,
+    sink: &mut S,
+) -> Result<ExecStats, ExecError> {
+    let empty_stats = |device: &Device| ExecStats {
         partition_hits: vec![0; device.machine.partitions.count as usize],
         ..ExecStats::default()
     };
-
-    if kernel.uses_global_sync() {
-        if cfg.grid_y != 1 || cfg.block_y != 1 {
-            return Err(ExecError::BarrierMisuse(
-                "__gsync() kernels must use a 1-D launch".into(),
-            ));
-        }
-        let nt = (cfg.grid_x * cfg.block_x) as usize;
-        let mut ctx = BlockCtx {
-            device,
-            scalars: &scalars,
-            stats: &mut stats,
-            env: HashMap::new(),
-            shared: HashMap::new(),
-            nt,
-            block: (0, 0),
-            cfg: *cfg,
-            mega: true,
-            steps: 0,
-            request_ix: 0,
-            depth: 0,
-            max_outer_iters: None,
-            step_limit: opts.fuel.map_or(STEP_LIMIT, |f| f.min(STEP_LIMIT)),
-            deadline: opts.deadline,
-            sanitize: opts.sanitize,
-            spans: &opts.spans,
-            epoch: 0,
-            shared_shadow: HashMap::new(),
-            shared_bytes: 0,
-            sm_id: 0,
-            sink,
-        };
-        let mask = vec![true; nt];
-        ctx.exec_body(&kernel.body, &mask)?;
-        stats.blocks_executed = cfg.total_blocks();
-        stats.total_blocks = cfg.total_blocks();
-        return Ok(stats);
-    }
-
-    let total = cfg.total_blocks();
+    let mut stats = empty_stats(device);
+    let total = program.cfg.total_blocks();
+    stats.total_blocks = total;
     let limit = opts.sample_blocks.map(|n| n as u64).unwrap_or(total);
     // When sampling, stride the chosen blocks across the concurrently
     // resident population so partition statistics reflect what actually
@@ -431,27 +426,29 @@ pub fn launch_with_sink(
         }
         _ => 1,
     };
-    let mut blocks: Vec<u64> = Vec::new();
-    let mut linear = 0u64;
-    while (blocks.len() as u64) < limit && linear < total {
-        blocks.push(linear);
-        linear += stride;
-    }
+    let blocks: Vec<u64> = if program.mega {
+        vec![0] // the whole grid is one lane vector
+    } else {
+        (0..total)
+            .step_by(stride as usize)
+            .take(limit.min(total) as usize)
+            .collect()
+    };
+    stats.blocks_executed = if program.mega {
+        total
+    } else {
+        blocks.len() as u64
+    };
 
     // Sanitize runs stay serial: the shadow-state machinery assumes the
     // serial block order when attributing first-fault blame.
-    let clusters = if opts.sanitize {
+    let clusters = if opts.sanitize || program.mega {
         1
     } else {
         opts.block_clusters.clamp(1, blocks.len().max(1))
     };
-
     if clusters <= 1 {
-        for &lin in &blocks {
-            run_block(kernel, cfg, &scalars, device, opts, lin, &mut stats, sink)?;
-        }
-        stats.blocks_executed = blocks.len() as u64;
-        stats.total_blocks = total;
+        run_blocks(program, device, opts, &blocks, &mut stats, sink)?;
         return Ok(stats);
     }
 
@@ -464,47 +461,29 @@ pub fn launch_with_sink(
     let chunk = blocks.len().div_ceil(clusters);
     let snapshot: Device = device.clone();
     type ClusterRun = Result<(Device, ExecStats, Vec<MemEvent>), ExecError>;
-    let results: Vec<ClusterRun> =
-        std::thread::scope(|scope| {
-            let snapshot_ref = &snapshot;
-            let scalars_ref = &scalars;
-            let handles: Vec<_> = blocks
-                .chunks(chunk)
-                .map(|span| {
-                    scope.spawn(move || {
-                        let mut dev = snapshot_ref.clone();
-                        let mut local = ExecStats {
-                            partition_hits: vec![
-                                0;
-                                dev.machine.partitions.count as usize
-                            ],
-                            ..ExecStats::default()
-                        };
-                        let mut vec_sink = VecSink::default();
-                        for &lin in span {
-                            run_block(
-                                kernel,
-                                cfg,
-                                scalars_ref,
-                                &mut dev,
-                                opts,
-                                lin,
-                                &mut local,
-                                &mut vec_sink,
-                            )?;
-                        }
-                        Ok((dev, local, vec_sink.events))
-                    })
+    let results: Vec<ClusterRun> = std::thread::scope(|scope| {
+        let snapshot_ref = &snapshot;
+        let handles: Vec<_> = blocks
+            .chunks(chunk)
+            .map(|span| {
+                scope.spawn(move || {
+                    let mut dev = snapshot_ref.clone();
+                    let mut local = empty_stats(&dev);
+                    let mut events = VecSink::default();
+                    let sink: &mut dyn MemSink = &mut events;
+                    run_blocks(program, &mut dev, opts, span, &mut local, sink)?;
+                    Ok((dev, local, events.events))
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    Err(panic) => std::panic::resume_unwind(panic),
-                })
-                .collect()
-        });
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| match h.join() {
+                Ok(r) => r,
+                Err(panic) => std::panic::resume_unwind(panic),
+            })
+            .collect()
+    });
 
     for result in results {
         let (dev, local, events) = result?;
@@ -514,54 +493,25 @@ pub fn launch_with_sink(
             sink.record(ev);
         }
     }
-    stats.blocks_executed = blocks.len() as u64;
-    stats.total_blocks = total;
     Ok(stats)
 }
 
-/// Executes one thread block (by linear grid index) against `device`,
-/// accumulating into `stats` and `sink`.
-#[allow(clippy::too_many_arguments)]
-fn run_block(
-    kernel: &Kernel,
-    cfg: &LaunchConfig,
-    scalars: &HashMap<String, i64>,
+/// Executes thread blocks (by linear grid index) in one block context,
+/// accumulating into `stats` and `sink`. The sanitizer and the sink are
+/// picked here, once: the context is monomorphized over both.
+fn run_blocks<S: MemSink + ?Sized>(
+    program: &Program,
     device: &mut Device,
     opts: &ExecOptions,
-    linear: u64,
+    blocks: &[u64],
     stats: &mut ExecStats,
-    sink: &mut dyn MemSink,
+    sink: &mut S,
 ) -> Result<(), ExecError> {
-    let bx = (linear % cfg.grid_x as u64) as u32;
-    let by = (linear / cfg.grid_x as u64) as u32;
-    let sm_id = (linear % device.machine.sm_count.max(1) as u64) as u32;
-    let nt = cfg.threads_per_block() as usize;
-    let mut ctx = BlockCtx {
-        device,
-        scalars,
-        stats,
-        env: HashMap::new(),
-        shared: HashMap::new(),
-        nt,
-        block: (bx, by),
-        cfg: *cfg,
-        mega: false,
-        steps: 0,
-        request_ix: 0,
-        depth: 0,
-        max_outer_iters: opts.max_outer_iters,
-        step_limit: opts.fuel.map_or(STEP_LIMIT, |f| f.min(STEP_LIMIT)),
-        deadline: opts.deadline,
-        sanitize: opts.sanitize,
-        spans: &opts.spans,
-        epoch: 0,
-        shared_shadow: HashMap::new(),
-        shared_bytes: 0,
-        sm_id,
-        sink,
-    };
-    let mask = vec![true; nt];
-    ctx.exec_body(&kernel.body, &mask)
+    if opts.sanitize {
+        BlockCtx::<S, true>::new(program, device, opts, stats, sink).run(blocks)
+    } else {
+        BlockCtx::<S, false>::new(program, device, opts, stats, sink).run(blocks)
+    }
 }
 
 /// Folds one cluster's statistics into the launch totals. Extensive
@@ -580,23 +530,17 @@ fn merge_stats(into: &mut ExecStats, from: ExecStats) {
         *a += b;
     }
     if into.partition_timeline.len() < from.partition_timeline.len() {
-        let nparts = from
-            .partition_timeline
-            .first()
-            .map(|h| h.len())
-            .unwrap_or(0);
+        let nparts = from.partition_timeline.first().map_or(0, |h| h.len());
         into.partition_timeline
             .resize(from.partition_timeline.len(), vec![0; nparts]);
     }
-    for (ts, step) in from.partition_timeline.iter().enumerate() {
-        for (p, v) in step.iter().enumerate() {
-            if let Some(slot) = into
-                .partition_timeline
-                .get_mut(ts)
-                .and_then(|h| h.get_mut(p))
-            {
-                *slot += v;
-            }
+    for (ours, theirs) in into
+        .partition_timeline
+        .iter_mut()
+        .zip(&from.partition_timeline)
+    {
+        for (a, b) in ours.iter_mut().zip(theirs) {
+            *a += b;
         }
     }
     into.shared_accesses += from.shared_accesses;
@@ -605,87 +549,387 @@ fn merge_stats(into: &mut ExecStats, from: ExecStats) {
     into.gsync_crossings += from.gsync_crossings;
 }
 
-/// A block-private shared-memory array.
-#[derive(Debug, Clone)]
-struct SharedBuf {
-    dims: Vec<i64>,
-    data: Vec<f32>,
-}
-
-impl SharedBuf {
-    fn offset(&self, indices: &[i64]) -> Result<usize, ExecError> {
-        if indices.len() != self.dims.len() {
-            return Err(ExecError::Unsupported(format!(
-                "shared array rank mismatch: {} vs {}",
-                indices.len(),
-                self.dims.len()
-            )));
-        }
-        let mut off: i64 = 0;
-        for (&ix, &extent) in indices.iter().zip(&self.dims) {
-            if ix < 0 || ix >= extent {
-                return Err(ExecError::Unsupported(format!(
-                    "shared access out of bounds: {indices:?} in {:?}",
-                    self.dims
-                )));
-            }
-            off = off * extent + ix;
-        }
-        Ok(off as usize)
-    }
-}
-
 /// Length cap for the lockstep partition timeline (long loops wrap; the
 /// access pattern is periodic so aliasing is harmless).
 const TIMELINE_CAP: usize = 16384;
-
-struct BlockCtx<'a> {
-    device: &'a mut Device,
-    scalars: &'a HashMap<String, i64>,
-    stats: &'a mut ExecStats,
-    env: HashMap<String, Vec<Val>>,
-    shared: HashMap<String, SharedBuf>,
-    nt: usize,
-    block: (u32, u32),
-    cfg: LaunchConfig,
-    mega: bool,
-    steps: u64,
-    request_ix: usize,
-    depth: u32,
-    max_outer_iters: Option<u64>,
-    /// Effective fuel budget: `min(STEP_LIMIT, ExecOptions::fuel)`.
-    step_limit: u64,
-    deadline: Option<std::time::Instant>,
-    /// Sanitize mode (see [`ExecOptions::sanitize`]).
-    sanitize: bool,
-    /// Array access spans for sanitizer findings.
-    spans: &'a AccessSpans,
-    /// Barrier epoch: incremented at every uniform barrier; shared-memory
-    /// accesses in the same epoch by different lanes race when one writes.
-    epoch: u32,
-    /// Per-cell shadow state of each `__shared__` array (sanitize only).
-    shared_shadow: HashMap<String, Vec<ShadowCell>>,
-    /// Cumulative `__shared__` bytes declared by this block.
-    shared_bytes: u64,
-    /// SM this block is resident on (stamped into [`MemEvent`]s).
-    sm_id: u32,
-    /// Receives the global-memory transaction stream.
-    sink: &'a mut dyn MemSink,
-}
 
 /// How often (in steps) the deadline is polled — a wall-clock read per
 /// step would dominate the interpreter.
 const DEADLINE_POLL_MASK: u64 = 4095;
 
+/// Mask slot of "every lane" and of "no lane"; refined masks stack above.
+const FULL: usize = 0;
+const NONE: usize = 1;
+
+/// What a lane column holds: one value for every lane, integer lanes, or
+/// dynamically typed lanes (floats, vectors, ints mixed with floats).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    U(Val),
+    I,
+    V,
+}
+
+impl Kind {
+    /// The lane kind a column of this kind materializes to.
+    fn lanes(self) -> Kind {
+        match self {
+            Kind::U(Val::I(_)) | Kind::I => Kind::I,
+            _ => Kind::V,
+        }
+    }
+}
+
+/// One lane vector of the arena: a variable or an expression temporary.
+/// Each backing vector is sized on first use and kept, so a column that
+/// has held a kind once never allocates for it again.
+#[derive(Debug)]
+struct Col {
+    kind: Kind,
+    i: Vec<i64>,
+    v: Vec<Val>,
+}
+
+impl Default for Col {
+    fn default() -> Col {
+        Col {
+            kind: Kind::U(Val::I(0)),
+            i: Vec::new(),
+            v: Vec::new(),
+        }
+    }
+}
+
+impl Col {
+    /// Switches to `kind` with `nt` lanes of backing store.
+    fn begin(&mut self, kind: Kind, nt: usize) {
+        self.kind = kind;
+        match kind {
+            Kind::I => self.i.resize(nt, 0),
+            Kind::V => self.v.resize(nt, Val::I(0)),
+            Kind::U(_) => {}
+        }
+    }
+
+    fn view(&self) -> View<'_> {
+        match self.kind {
+            Kind::U(v) => View::U(v),
+            Kind::I => View::I(&self.i),
+            Kind::V => View::V(&self.v),
+        }
+    }
+
+    /// Stores `v` into lane `l`. An integer column only ever receives
+    /// integers (its kind follows from the operand kinds).
+    #[inline]
+    fn set(&mut self, l: usize, v: Val) {
+        match self.kind {
+            Kind::I => self.i[l] = v.as_i().unwrap_or(0),
+            Kind::V => self.v[l] = v,
+            Kind::U(_) => {}
+        }
+    }
+
+    /// Re-represents the current contents as lanes of `kind`.
+    fn materialize(&mut self, kind: Kind, nt: usize) {
+        let old = std::mem::replace(&mut self.kind, kind);
+        if old == kind {
+            return;
+        }
+        self.begin(kind, nt);
+        for l in 0..nt {
+            let v = match old {
+                Kind::U(v) => v,
+                Kind::I => Val::I(self.i[l]),
+                Kind::V => self.v[l],
+            };
+            self.set(l, v);
+        }
+    }
+
+    /// `self[lane] = src[lane]` for the lanes of `mask`.
+    fn assign(&mut self, src: View<'_>, mask: &Mask, nt: usize) {
+        match src {
+            // Rewriting a uniform with its own bit pattern changes nothing.
+            View::U(new) if matches!(self.kind, Kind::U(old) if same_bits(old, new)) => {}
+            View::U(v) if mask.full() => self.kind = Kind::U(v),
+            View::I(s) if mask.full() => {
+                self.begin(Kind::I, nt);
+                self.i.copy_from_slice(s);
+            }
+            View::V(s) if mask.full() => {
+                self.begin(Kind::V, nt);
+                self.v.copy_from_slice(s);
+            }
+            _ => {
+                let both_int = self.kind.lanes() == Kind::I && src.kind().lanes() == Kind::I;
+                self.materialize(if both_int { Kind::I } else { Kind::V }, nt);
+                lanes!(mask, l, { self.set(l, src.val(l)) });
+            }
+        }
+    }
+}
+
+fn same_bits(a: Val, b: Val) -> bool {
+    match (a, b) {
+        (Val::I(x), Val::I(y)) => x == y,
+        (Val::F(x), Val::F(y)) => x.to_bits() == y.to_bits(),
+        _ => false,
+    }
+}
+
+/// A borrowed lane vector.
+#[derive(Debug, Clone, Copy)]
+enum View<'a> {
+    U(Val),
+    I(&'a [i64]),
+    V(&'a [Val]),
+}
+
+impl View<'_> {
+    #[inline]
+    fn val(self, l: usize) -> Val {
+        match self {
+            View::U(v) => v,
+            View::I(s) => Val::I(s[l]),
+            View::V(s) => s[l],
+        }
+    }
+
+    fn kind(self) -> Kind {
+        match self {
+            View::U(v) => Kind::U(v),
+            View::I(_) => Kind::I,
+            View::V(_) => Kind::V,
+        }
+    }
+
+    /// Subscript value of lane `l` (floats truncate, vectors read as 0).
+    #[inline]
+    fn index(self, l: usize) -> i64 {
+        self.val(l).as_i().unwrap_or(0)
+    }
+}
+
+/// Where an evaluated expression's lanes are: a temporary at an expression
+/// depth, a variable's own column (reads copy nothing), or one value for
+/// every lane.
+#[derive(Debug, Clone, Copy)]
+enum Loc {
+    Temp(usize),
+    Var(usize),
+    Uni(Val),
+}
+
+/// The lanes at `loc`. Borrows only the two arenas, so callers can hold
+/// other fields of the context mutably.
+fn view_of<'c>(temps: &'c [Col], vars: &'c [Col], loc: Loc) -> View<'c> {
+    match loc {
+        Loc::Temp(d) => temps[d].view(),
+        Loc::Var(slot) => vars[slot].view(),
+        Loc::Uni(v) => View::U(v),
+    }
+}
+
+/// A divergence mask with its population counts.
+#[derive(Debug, Default)]
+struct Mask {
+    bits: Vec<bool>,
+    /// Active lanes.
+    active: usize,
+    /// 32-lane warps with at least one active lane.
+    warps: u64,
+}
+
+impl Mask {
+    fn uniform(nt: usize, on: bool) -> Mask {
+        let mut mask = Mask {
+            bits: vec![on; nt],
+            ..Mask::default()
+        };
+        mask.count();
+        mask
+    }
+
+    fn count(&mut self) {
+        self.active = self.bits.iter().filter(|&&b| b).count();
+        self.warps = self.bits.chunks(32).filter(|c| c.contains(&true)).count() as u64;
+    }
+
+    fn full(&self) -> bool {
+        self.active == self.bits.len()
+    }
+
+    fn first(&self) -> Option<usize> {
+        self.bits.iter().position(|&b| b)
+    }
+}
+
+/// A block-private shared-memory array; `dims`/`strides` are those of the
+/// declaration that last executed.
+#[derive(Debug, Default)]
+struct SharedBuf {
+    declared: bool,
+    dims: Vec<i64>,
+    strides: Vec<i64>,
+    data: Vec<f32>,
+    /// Per-cell shadow state (sanitize only).
+    shadow: Vec<ShadowCell>,
+}
+
+/// The memory space a subscripted name resolved to.
+#[derive(Clone, Copy)]
+enum Space {
+    Shared(usize),
+    Global(usize),
+}
+
+/// One vector access in flight.
+#[derive(Clone, Copy)]
+struct Access<'p> {
+    array: &'p ArrayRef,
+    /// Where the evaluated subscripts start on the subscript stack.
+    base: usize,
+    rank: usize,
+    m: usize,
+    write: bool,
+    /// The element offset, when every subscript is uniform; per-lane
+    /// offsets are in the context's `offs` otherwise.
+    uniform: Option<i64>,
+    /// The first active lane with a subscript out of bounds.
+    bad: Option<usize>,
+}
+
+/// Calls `f` with the element offsets of each half warp's active lanes, in
+/// lane order; stops with `Err` when it reaches the lane `acc.bad`.
+fn half_warps(
+    bits: &[bool],
+    offs: &[i64],
+    acc: Access<'_>,
+    mut f: impl FnMut(&[i64]),
+) -> Result<(), usize> {
+    for start in (0..bits.len()).step_by(16) {
+        let (mut chunk, mut n) = ([0i64; 16], 0);
+        for l in (start..(start + 16).min(bits.len())).filter(|&l| bits[l]) {
+            if acc.bad == Some(l) {
+                return Err(l);
+            }
+            chunk[n] = acc.uniform.unwrap_or(offs[l]);
+            n += 1;
+        }
+        if n > 0 {
+            f(&chunk[..n]);
+        }
+    }
+    Ok(())
+}
+
 /// Wraps a sanitizer finding, attaching the source span of the array it
-/// refers to when the caller supplied one. Free-standing so it can run
-/// while a shadow table is mutably borrowed.
+/// refers to when the caller supplied one.
 fn sanitizer_err(spans: &AccessSpans, kind: SanitizerKind) -> ExecError {
     let span = kind.array().and_then(|a| spans.get(a)).copied();
     ExecError::Sanitizer(SanitizerError { kind, span })
 }
 
-impl BlockCtx<'_> {
+fn unsupported(what: &str) -> ExecError {
+    ExecError::Unsupported(what.into())
+}
+
+/// Execution state of one block cluster. Lane values, masks, subscript
+/// locations and element offsets live in arenas owned here and are reused
+/// across statements, loop iterations and blocks: once the first block has
+/// sized them, executing allocates nothing.
+struct BlockCtx<'a, S: MemSink + ?Sized, const SAN: bool> {
+    p: &'a Program,
+    device: &'a mut Device,
+    stats: &'a mut ExecStats,
+    sink: &'a mut S,
+    /// Array access spans for sanitizer findings.
+    spans: &'a AccessSpans,
+    nt: usize,
+    /// Variable columns by slot, and whether each slot's declaration has
+    /// executed in this block.
+    vars: Vec<Col>,
+    defined: Vec<bool>,
+    /// Expression temporaries by expression depth.
+    temps: Vec<Col>,
+    /// [`FULL`], [`NONE`], then the refinements of the enclosing
+    /// `if`/`for`/`?:` constructs up to `mask_top`.
+    masks: Vec<Mask>,
+    mask_top: usize,
+    /// Stack of evaluated subscripts of the accesses in flight.
+    locs: Vec<Loc>,
+    /// Linearized element offset per lane of the access in flight.
+    offs: Vec<i64>,
+    shared: Vec<SharedBuf>,
+    block: (i64, i64),
+    /// SM this block is resident on (stamped into [`MemEvent`]s).
+    sm_id: u32,
+    steps: u64,
+    request_ix: usize,
+    depth: u32,
+    /// Barrier epoch: incremented at every uniform barrier; shared-memory
+    /// accesses in the same epoch by different lanes race when one writes.
+    epoch: u32,
+    /// Cumulative `__shared__` bytes declared by this block.
+    shared_bytes: u64,
+    max_outer_iters: Option<u64>,
+    /// Effective fuel budget: `min(STEP_LIMIT, ExecOptions::fuel)`.
+    step_limit: u64,
+    deadline: Option<std::time::Instant>,
+}
+
+impl<'a, S: MemSink + ?Sized, const SAN: bool> BlockCtx<'a, S, SAN> {
+    fn new(
+        p: &'a Program,
+        device: &'a mut Device,
+        opts: &'a ExecOptions,
+        stats: &'a mut ExecStats,
+        sink: &'a mut S,
+    ) -> Self {
+        let columns = |n| std::iter::repeat_with(Col::default).take(n).collect();
+        BlockCtx {
+            p,
+            device,
+            stats,
+            sink,
+            spans: &opts.spans,
+            nt: p.nt,
+            vars: columns(p.vars.len()),
+            defined: vec![false; p.vars.len()],
+            temps: columns(0),
+            masks: vec![Mask::uniform(p.nt, true), Mask::uniform(p.nt, false)],
+            mask_top: 2,
+            locs: Vec::new(),
+            offs: vec![0; p.nt],
+            shared: (0..p.shared.len()).map(|_| SharedBuf::default()).collect(),
+            block: (0, 0),
+            sm_id: 0,
+            steps: 0,
+            request_ix: 0,
+            depth: 0,
+            epoch: 0,
+            shared_bytes: 0,
+            max_outer_iters: opts.max_outer_iters,
+            step_limit: opts.fuel.map_or(STEP_LIMIT, |f| f.min(STEP_LIMIT)),
+            deadline: opts.deadline,
+        }
+    }
+
+    fn run(mut self, blocks: &[u64]) -> Result<(), ExecError> {
+        let p = self.p;
+        let grid_x = p.cfg.grid_x as u64;
+        for &linear in blocks {
+            self.block = ((linear % grid_x) as i64, (linear / grid_x) as i64);
+            self.sm_id = (linear % self.device.machine.sm_count.max(1) as u64) as u32;
+            self.defined.fill(false);
+            self.shared.iter_mut().for_each(|s| s.declared = false);
+            (self.steps, self.request_ix, self.epoch, self.shared_bytes) = (0, 0, 0, 0);
+            self.exec_body(&p.body, FULL)?;
+        }
+        Ok(())
+    }
+
     fn step(&mut self) -> Result<(), ExecError> {
         self.steps += 1;
         if self.steps > self.step_limit {
@@ -701,293 +945,114 @@ impl BlockCtx<'_> {
         Ok(())
     }
 
-    fn warps(&self, mask: &[bool]) -> u64 {
-        mask.chunks(32).filter(|c| c.iter().any(|&b| b)).count() as u64
+    /// Takes the temporary at depth `d` out of the arena for writing lanes
+    /// of `kind`; [`Self::put`] returns it.
+    fn temp(&mut self, d: usize, kind: Kind) -> Col {
+        if self.temps.len() <= d {
+            self.temps.resize_with(d + 1, Col::default);
+        }
+        let mut col = std::mem::take(&mut self.temps[d]);
+        col.begin(kind, self.nt);
+        col
     }
 
-    fn builtin(&self, b: Builtin, lane: usize) -> i64 {
-        let bx = self.cfg.block_x as i64;
-        let by = self.cfg.block_y as i64;
-        if self.mega {
-            // 1-D mega-block: lane IS the absolute thread id.
-            let lane = lane as i64;
-            return match b {
-                Builtin::IdX => lane,
-                Builtin::TidX => lane % bx,
-                Builtin::BidX => lane / bx,
-                Builtin::IdY | Builtin::TidY | Builtin::BidY => 0,
-                Builtin::BlockDimX => bx,
-                Builtin::BlockDimY => 1,
-                Builtin::GridDimX => self.cfg.grid_x as i64,
-                Builtin::GridDimY => 1,
-            };
+    fn put(&mut self, d: usize, col: Col) -> Loc {
+        self.temps[d] = col;
+        Loc::Temp(d)
+    }
+
+    fn view(&self, loc: Loc) -> View<'_> {
+        view_of(&self.temps, &self.vars, loc)
+    }
+
+    /// The views of up to three operands (absent ones read as uniform 0).
+    fn views(&self, args: &[Loc]) -> [View<'_>; 3] {
+        let mut views = [View::U(Val::I(0)); 3];
+        for (view, &loc) in views.iter_mut().zip(args) {
+            *view = self.view(loc);
         }
-        let tidx = lane as i64 % bx;
-        let tidy = lane as i64 / bx;
-        let (bidx, bidy) = (self.block.0 as i64, self.block.1 as i64);
-        match b {
-            Builtin::IdX => bidx * bx + tidx,
-            Builtin::IdY => bidy * by + tidy,
-            Builtin::TidX => tidx,
-            Builtin::TidY => tidy,
-            Builtin::BidX => bidx,
-            Builtin::BidY => bidy,
-            Builtin::BlockDimX => bx,
-            Builtin::BlockDimY => by,
-            Builtin::GridDimX => self.cfg.grid_x as i64,
-            Builtin::GridDimY => self.cfg.grid_y as i64,
+        views
+    }
+
+    /// The masks of a two-way branch on predicate `c` under mask `m`:
+    /// (taken, not taken). A uniform predicate refines nothing; [`NONE`]
+    /// stands in for a side nobody takes, or that the caller does not need
+    /// (`both` false). The caller pops what this pushes.
+    fn split(&mut self, m: usize, c: Loc, both: bool) -> (usize, usize) {
+        match self.view(c) {
+            View::U(v) if v.is_true() => (m, NONE),
+            View::U(_) => (NONE, m),
+            _ if both => (self.refine(m, c, false), self.refine(m, c, true)),
+            _ => (self.refine(m, c, false), NONE),
         }
     }
 
-    /// Decides whether a loop may be truncated for a timing trace:
-    /// returns `(cap, full_trip_count, init, step)` for uniform counted
-    /// top-level loops whose trip count exceeds the cap.
-    fn truncation_cap(
-        &mut self,
-        l: &gpgpu_ast::ForLoop,
-        init: &[Val],
-        mask: &[bool],
-    ) -> Option<(u64, u64, i64, i64)> {
-        let cap = self.max_outer_iters?;
-        if self.depth != 0 || self.mega {
-            return None;
+    /// Pushes `parent ∧ (cond != negate)` on the mask stack.
+    fn refine(&mut self, parent: usize, cond: Loc, negate: bool) -> usize {
+        let top = self.mask_top;
+        if self.masks.len() <= top {
+            self.masks.push(Mask::uniform(self.nt, false));
         }
-        let gpgpu_ast::LoopUpdate::AddAssign(step) = l.update else {
-            return None;
-        };
-        if step <= 0 || l.cmp != BinOp::Lt {
-            return None;
+        let mut mask = std::mem::take(&mut self.masks[top]);
+        let (cond, parent) = (self.view(cond), &self.masks[parent].bits);
+        for (l, bit) in mask.bits.iter_mut().enumerate() {
+            *bit = parent[l] && cond.val(l).is_true() != negate;
         }
-        // Uniform init across lanes.
-        let i0 = init.first()?.as_i()?;
-        if !init.iter().all(|v| v.as_i() == Some(i0)) {
-            return None;
-        }
-        let bound = self.eval(&l.bound, mask).ok()?;
-        let b0 = bound.first()?.as_i()?;
-        if !bound.iter().all(|v| v.as_i() == Some(b0)) {
-            return None;
-        }
-        let trips = ((b0 - i0).max(0) as u64).div_ceil(step as u64);
-        (trips > cap).then_some((cap, trips, i0, step))
+        mask.count();
+        self.masks[top] = mask;
+        self.mask_top += 1;
+        top
     }
 
-    fn exec_body(&mut self, body: &[Stmt], mask: &[bool]) -> Result<(), ExecError> {
-        for stmt in body {
-            self.exec_stmt(stmt, mask)?;
-        }
-        Ok(())
+    fn exec_body(&mut self, body: &'a [Stmt], m: usize) -> Result<(), ExecError> {
+        body.iter().try_for_each(|stmt| self.exec_stmt(stmt, m))
     }
 
-    fn exec_stmt(&mut self, stmt: &Stmt, mask: &[bool]) -> Result<(), ExecError> {
+    fn exec_stmt(&mut self, stmt: &'a Stmt, m: usize) -> Result<(), ExecError> {
         self.step()?;
         match stmt {
-            Stmt::DeclScalar { name, ty, init } => {
-                let vals = match init {
-                    Some(e) => self.eval(e, mask)?,
-                    None => vec![Val::zero(*ty); self.nt],
+            Stmt::Decl { var, ty, init } => {
+                let value = match init {
+                    Some(e) => self.eval(e, 0, m)?,
+                    None => Loc::Uni(Val::zero(*ty)),
                 };
-                self.env.insert(name.clone(), vals);
+                // A declaration without initializer zeroes every lane; one
+                // with initializes the lanes that reach it.
+                if !std::mem::replace(&mut self.defined[*var], true) || init.is_none() {
+                    self.vars[*var].kind = Kind::U(Val::zero(*ty));
+                }
+                self.assign_var(*var, value, m);
             }
-            Stmt::DeclShared { name, ty, dims } => {
-                if self.mega {
-                    return Err(ExecError::BarrierMisuse(
-                        "shared memory in a __gsync() kernel".into(),
-                    ));
-                }
-                if *ty != gpgpu_ast::ScalarType::Float {
-                    return Err(ExecError::Unsupported(
-                        "only float shared arrays are supported".into(),
-                    ));
-                }
-                let len: i64 = dims.iter().product();
-                self.shared.insert(
-                    name.clone(),
-                    SharedBuf {
-                        dims: dims.clone(),
-                        data: vec![0.0; len as usize],
-                    },
-                );
-                if self.sanitize {
-                    let fresh = self
-                        .shared_shadow
-                        .insert(name.clone(), vec![ShadowCell::default(); len as usize])
-                        .is_none();
-                    if fresh {
-                        self.shared_bytes += len as u64 * ty.size_bytes() as u64;
-                    }
-                    if !self.device.machine.fits_shared(self.shared_bytes) {
-                        return Err(sanitizer_err(
-                            self.spans,
-                            SanitizerKind::SharedOverflow {
-                                array: name.clone(),
-                                bytes: self.shared_bytes,
-                                limit: self.device.machine.shared_per_sm as u64,
-                            },
-                        ));
-                    }
-                }
-            }
+            Stmt::DeclShared { shared, ty, dims } => self.decl_shared(*shared, *ty, dims)?,
             Stmt::Assign { lhs, rhs } => {
-                let vals = self.eval(rhs, mask)?;
-                self.assign(lhs, &vals, mask)?;
+                let value = self.eval(rhs, 0, m)?;
+                self.assign(lhs, value, m)?;
             }
-            Stmt::For(l) => {
-                let init = self.eval(&l.init, mask)?;
-                // Truncation: uniform counted top-level loops may be capped
-                // for timing traces; the factor scales the counters later.
-                let cap = self.truncation_cap(l, &init, mask);
-                self.env.insert(l.var.clone(), init);
-                let cond_expr = Expr::Binary(
-                    l.cmp,
-                    Box::new(Expr::Var(l.var.clone())),
-                    Box::new(l.bound.clone()),
-                );
-                self.depth += 1;
-                let result = if let Some((limit, trips, init0, step)) = cap {
-                    // Truncated trace: execute `limit` iterations *strided
-                    // across the full trip count*, so non-stationary bodies
-                    // (triangular guards, rotated walks) are sampled
-                    // representatively rather than from the first
-                    // iterations only.
-                    let mut r = Ok(());
-                    'sampled: for j in 0..limit {
-                        let trip = j * trips / limit;
-                        let value = Val::I(init0 + trip as i64 * step);
-                        let vals = match self.env.get_mut(&l.var) {
-                            Some(v) => v,
-                            None => {
-                                r = Err(ExecError::UndefinedVar(l.var.clone()));
-                                break 'sampled;
-                            }
-                        };
-                        for v in vals.iter_mut() {
-                            *v = value;
-                        }
-                        if let Err(e) = self.step() {
-                            r = Err(e);
-                            break 'sampled;
-                        }
-                        if let Err(e) = self.exec_body(&l.body, mask) {
-                            r = Err(e);
-                            break 'sampled;
-                        }
-                        self.stats.warp_insts += 2 * self.warps(mask);
-                    }
-                    if r.is_ok() {
-                        let factor = trips as f64 / limit as f64;
-                        if factor > self.stats.loop_truncation {
-                            self.stats.loop_truncation = factor;
-                        }
-                    }
-                    r
-                } else {
-                    let mut r = Ok(());
-                    loop {
-                        if let Err(e) = self.step() {
-                            r = Err(e);
-                            break;
-                        }
-                        let cond = match self.eval(&cond_expr, mask) {
-                            Ok(c) => c,
-                            Err(e) => {
-                                r = Err(e);
-                                break;
-                            }
-                        };
-                        let active: Vec<bool> = mask
-                            .iter()
-                            .zip(&cond)
-                            .map(|(&m, c)| m && c.is_true())
-                            .collect();
-                        if !active.iter().any(|&b| b) {
-                            break;
-                        }
-                        if let Err(e) = self.exec_body(&l.body, &active) {
-                            r = Err(e);
-                            break;
-                        }
-                        let vals = match self.env.get_mut(&l.var) {
-                            Some(v) => v,
-                            None => {
-                                r = Err(ExecError::UndefinedVar(l.var.clone()));
-                                break;
-                            }
-                        };
-                        for (lane, v) in vals.iter_mut().enumerate() {
-                            if active[lane] {
-                                let cur = match v.as_i() {
-                                    Some(c) => c,
-                                    None => {
-                                        return Err(ExecError::Unsupported(
-                                            "non-integer loop variable".into(),
-                                        ))
-                                    }
-                                };
-                                *v = Val::I(l.update.apply(cur));
-                            }
-                        }
-                        // Loop-control overhead: one compare + one update.
-                        self.stats.warp_insts += 2 * self.warps(&active);
-                    }
-                    r
-                };
-                self.depth -= 1;
-                result?;
-            }
+            Stmt::For(l) => self.exec_for(l, m)?,
             Stmt::If {
                 cond,
                 then_body,
                 else_body,
             } => {
-                let c = self.eval(cond, mask)?;
-                let then_mask: Vec<bool> = mask
-                    .iter()
-                    .zip(&c)
-                    .map(|(&m, v)| m && v.is_true())
-                    .collect();
-                if then_mask.iter().any(|&b| b) {
-                    self.exec_body(then_body, &then_mask)?;
+                let c = self.eval(cond, 0, m)?;
+                let top = self.mask_top;
+                // Both masks are built before either branch runs: the
+                // branches reuse the temporaries the predicate lives in.
+                let (then_m, else_m) = self.split(m, c, !else_body.is_empty());
+                if self.masks[then_m].active > 0 {
+                    self.exec_body(then_body, then_m)?;
                 }
-                if !else_body.is_empty() {
-                    let else_mask: Vec<bool> = mask
-                        .iter()
-                        .zip(&c)
-                        .map(|(&m, v)| m && !v.is_true())
-                        .collect();
-                    if else_mask.iter().any(|&b| b) {
-                        self.exec_body(else_body, &else_mask)?;
-                    }
+                if self.masks[else_m].active > 0 {
+                    self.exec_body(else_body, else_m)?;
                 }
+                self.mask_top = top;
             }
-            Stmt::SyncThreads => {
-                if self.mega {
-                    return Err(ExecError::BarrierMisuse(
-                        "__syncthreads() in a __gsync() kernel".into(),
-                    ));
-                }
-                if !mask.iter().all(|&b| b) {
-                    return Err(self.divergent_barrier(mask));
-                }
-                // The barrier closes the race window: accesses before and
-                // after it are ordered for every pair of threads.
-                self.epoch += 1;
-            }
+            Stmt::SyncThreads => self.barrier(m, false)?,
             Stmt::GlobalSync => {
-                if !self.mega {
-                    return Err(ExecError::BarrierMisuse(
-                        "__gsync() requires mega-block execution".into(),
-                    ));
-                }
-                // Lock-step execution makes the barrier a no-op; it must
-                // still be mask-uniform.
-                if !mask.iter().all(|&b| b) {
-                    return Err(self.divergent_barrier(mask));
-                }
-                self.epoch += 1;
+                self.barrier(m, true)?;
                 self.stats.gsync_crossings += 1;
             }
-            Stmt::CallStmt(name, _) => {
+            Stmt::Call(name) => {
                 return Err(ExecError::Unsupported(format!(
                     "statement-level call `{name}`"
                 )));
@@ -996,532 +1061,774 @@ impl BlockCtx<'_> {
         Ok(())
     }
 
-    /// Divergent-barrier error: a spanless sanitizer finding in sanitize
-    /// mode, the classic [`ExecError::DivergentSync`] otherwise.
-    fn divergent_barrier(&self, mask: &[bool]) -> ExecError {
-        if self.sanitize {
-            ExecError::Sanitizer(SanitizerError {
-                kind: SanitizerKind::BarrierDivergence {
-                    active: mask.iter().filter(|&&b| b).count(),
-                    total: self.nt,
-                },
-                span: None,
-            })
+    /// A barrier reached under mask `m`. Lock-step execution makes it a
+    /// no-op, but it must be mask-uniform: a uniform mask closes the race
+    /// window — accesses before and after it are ordered for every pair of
+    /// threads; a divergent one is an error (a spanless sanitizer finding
+    /// in sanitize mode).
+    fn barrier(&mut self, m: usize, grid_wide: bool) -> Result<(), ExecError> {
+        if grid_wide != self.p.mega {
+            return Err(ExecError::BarrierMisuse(if grid_wide {
+                "__gsync() requires mega-block execution".into()
+            } else {
+                "__syncthreads() in a __gsync() kernel".into()
+            }));
+        }
+        let mask = &self.masks[m];
+        if mask.full() {
+            self.epoch += 1;
+            return Ok(());
+        }
+        Err(if SAN {
+            let kind = SanitizerKind::BarrierDivergence {
+                active: mask.active,
+                total: self.nt,
+            };
+            ExecError::Sanitizer(SanitizerError { kind, span: None })
         } else {
             ExecError::DivergentSync
-        }
+        })
     }
 
-    fn assign(&mut self, lhs: &LValue, vals: &[Val], mask: &[bool]) -> Result<(), ExecError> {
-        match lhs {
-            LValue::Var(name) => {
-                let slot = self
-                    .env
-                    .get_mut(name)
-                    .ok_or_else(|| ExecError::UndefinedVar(name.clone()))?;
-                for lane in 0..self.nt {
-                    if mask[lane] {
-                        slot[lane] = vals[lane];
-                    }
-                }
+    fn decl_shared(&mut self, slot: usize, ty: ScalarType, dims: &[i64]) -> Result<(), ExecError> {
+        if self.p.mega {
+            return Err(ExecError::BarrierMisuse(
+                "shared memory in a __gsync() kernel".into(),
+            ));
+        }
+        if ty != ScalarType::Float {
+            return Err(unsupported("only float shared arrays are supported"));
+        }
+        let len = dims.iter().product::<i64>() as usize;
+        let buf = &mut self.shared[slot];
+        let fresh = !std::mem::replace(&mut buf.declared, true);
+        buf.dims.clear();
+        buf.dims.extend_from_slice(dims);
+        buf.strides.clear();
+        buf.strides
+            .extend((1..=dims.len()).map(|d| dims[d..].iter().product::<i64>()));
+        buf.data.clear();
+        buf.data.resize(len, 0.0);
+        if SAN {
+            buf.shadow.clear();
+            buf.shadow.resize(len, ShadowCell::default());
+            if fresh {
+                self.shared_bytes += len as u64 * ty.size_bytes() as u64;
             }
-            LValue::Field(name, field) => {
-                let lane_ix = field.lane();
-                let slot = self
-                    .env
-                    .get_mut(name)
-                    .ok_or_else(|| ExecError::UndefinedVar(name.clone()))?;
-                for lane in 0..self.nt {
-                    if mask[lane] {
-                        let x = vals[lane].as_f().ok_or_else(|| {
-                            ExecError::Unsupported("non-scalar component write".into())
-                        })?;
-                        if !slot[lane].set_component(lane_ix, x) {
-                            return Err(ExecError::Unsupported(
-                                "component write to scalar".into(),
-                            ));
-                        }
-                    }
-                }
-            }
-            LValue::Index { array, indices } => {
-                let idx_vals = self.eval_indices(indices, mask)?;
-                if self.shared.contains_key(array) {
-                    self.sanitize_shared(array, &idx_vals, mask, true)?;
-                    self.trace_shared(array, &idx_vals, mask)?;
-                    let buf = self
-                        .shared
-                        .get_mut(array)
-                        .ok_or_else(|| ExecError::UndefinedVar(array.clone()))?;
-                    for lane in 0..self.nt {
-                        if mask[lane] {
-                            let off = buf.offset(&idx_vals[lane])?;
-                            buf.data[off] = vals[lane].as_f().ok_or_else(|| {
-                                ExecError::Unsupported("vector store to shared".into())
-                            })?;
-                        }
-                    }
-                } else {
-                    self.sanitize_global(array, &idx_vals, mask, true)?;
-                    self.trace_global(array, &idx_vals, mask, true)?;
-                    let buf = self.device.buffer_mut(array)?;
-                    for lane in 0..self.nt {
-                        if mask[lane] {
-                            buf.write(&idx_vals[lane], vals[lane])?;
-                        }
-                    }
-                }
+            if !self.device.machine.fits_shared(self.shared_bytes) {
+                let kind = SanitizerKind::SharedOverflow {
+                    array: self.p.shared[slot].clone(),
+                    bytes: self.shared_bytes,
+                    limit: self.device.machine.shared_per_sm as u64,
+                };
+                return Err(sanitizer_err(self.spans, kind));
             }
         }
         Ok(())
+    }
+
+    /// `vars[slot][lane] = value[lane]` under mask `m`.
+    fn assign_var(&mut self, slot: usize, value: Loc, m: usize) {
+        if matches!(value, Loc::Var(src) if src == slot) {
+            return;
+        }
+        let mut dst = std::mem::take(&mut self.vars[slot]);
+        dst.assign(self.view(value), &self.masks[m], self.nt);
+        self.vars[slot] = dst;
+    }
+
+    fn undefined(&self, slot: usize) -> ExecError {
+        ExecError::UndefinedVar(self.p.vars[slot].name.clone())
+    }
+
+    fn assign(&mut self, lhs: &'a Place, value: Loc, m: usize) -> Result<(), ExecError> {
+        match lhs {
+            Place::Var(slot) | Place::Field(slot, _) if !self.defined[*slot] => {
+                return Err(self.undefined(*slot));
+            }
+            Place::Var(slot) => self.assign_var(*slot, value, m),
+            Place::Field(slot, field) => {
+                let mut dst = std::mem::take(&mut self.vars[*slot]);
+                dst.materialize(Kind::V, self.nt);
+                let src = self.view(value);
+                lanes!(&self.masks[m], l, {
+                    let x = src.val(l).as_f();
+                    let x = x.ok_or_else(|| unsupported("non-scalar component write"))?;
+                    if !dst.v[l].set_component(field.lane(), x) {
+                        return Err(unsupported("component write to scalar"));
+                    }
+                });
+                self.vars[*slot] = dst;
+            }
+            Place::Index(array, indices) => {
+                let base = self.eval_indices(indices, 1, m)?;
+                let (space, uniform) = self.access(array, base, indices.len(), m, true)?;
+                let src = view_of(&self.temps, &self.vars, value);
+                let (mask, offs) = (&self.masks[m], &self.offs);
+                let at = |l: usize| uniform.unwrap_or(offs[l]) as usize;
+                match space {
+                    Space::Shared(s) => {
+                        let data = &mut self.shared[s].data;
+                        lanes!(mask, l, {
+                            let x = src.val(l).as_f();
+                            data[at(l)] = x.ok_or_else(|| unsupported("vector store to shared"))?;
+                        });
+                    }
+                    Space::Global(g) => {
+                        let buf = &mut self.device.slots_mut()[self.p.globals[g].slot];
+                        lanes!(mask, l, { buf.store(at(l), src.val(l)) });
+                    }
+                }
+                self.locs.truncate(base);
+            }
+        }
+        Ok(())
+    }
+
+    fn exec_for(&mut self, l: &'a Loop, m: usize) -> Result<(), ExecError> {
+        let init = self.eval(&l.init, 0, m)?;
+        // Truncation: uniform counted top-level loops may be capped for
+        // timing traces; the factor scales the counters later.
+        let cap = self.truncation_cap(l, init, m);
+        // The loop variable is (re)declared for every lane.
+        self.defined[l.var] = true;
+        self.assign_var(l.var, init, FULL);
+        self.depth += 1;
+        if let Some((limit, trips, init0, step)) = cap {
+            // Truncated trace: execute `limit` iterations *strided across
+            // the full trip count*, so non-stationary bodies (triangular
+            // guards, rotated walks) are sampled representatively rather
+            // than from the first iterations only.
+            for j in 0..limit {
+                let trip = j * trips / limit;
+                self.vars[l.var].kind = Kind::U(Val::I(init0 + trip as i64 * step));
+                self.step()?;
+                self.exec_body(&l.body, m)?;
+                self.stats.warp_insts += 2 * self.masks[m].warps;
+            }
+            let factor = trips as f64 / limit as f64;
+            self.stats.loop_truncation = self.stats.loop_truncation.max(factor);
+        } else {
+            loop {
+                self.step()?;
+                let c = self.eval(&l.cond, 0, m)?;
+                let top = self.mask_top;
+                let (active, _) = self.split(m, c, false);
+                if self.masks[active].active == 0 {
+                    self.mask_top = top;
+                    break;
+                }
+                self.exec_body(&l.body, active)?;
+                self.advance(l, active)?;
+                // Loop-control overhead: one compare + one update.
+                self.stats.warp_insts += 2 * self.masks[active].warps;
+                self.mask_top = top;
+            }
+        }
+        self.depth -= 1;
+        Ok(())
+    }
+
+    /// Applies the loop update to the loop variable's active lanes.
+    fn advance(&mut self, l: &Loop, m: usize) -> Result<(), ExecError> {
+        let next = |v: Val| match v.as_i() {
+            Some(cur) => Ok(Val::I(l.update.apply(cur))),
+            None => Err(unsupported("non-integer loop variable")),
+        };
+        let (col, mask) = (&mut self.vars[l.var], &self.masks[m]);
+        if let (Kind::U(v), true) = (col.kind, mask.full()) {
+            col.kind = Kind::U(next(v)?);
+            return Ok(());
+        }
+        col.materialize(col.kind.lanes(), self.nt);
+        lanes!(mask, lane, {
+            let v = next(col.view().val(lane))?;
+            col.set(lane, v);
+        });
+        Ok(())
+    }
+
+    /// The integer every active lane of `loc` holds, if they all agree.
+    fn uniform_int(&self, loc: Loc, m: usize) -> Option<i64> {
+        let (view, mask) = (self.view(loc), &self.masks[m]);
+        let first = view.val(mask.first()?).as_i()?;
+        if !matches!(view, View::U(_)) {
+            lanes!(mask, l, {
+                if view.val(l).as_i() != Some(first) {
+                    return None;
+                }
+            });
+        }
+        Some(first)
+    }
+
+    /// Decides whether a loop may be truncated for a timing trace:
+    /// returns `(cap, full_trip_count, init, step)` for uniform counted
+    /// top-level loops whose trip count exceeds the cap.
+    fn truncation_cap(&mut self, l: &'a Loop, init: Loc, m: usize) -> Option<(u64, u64, i64, i64)> {
+        let cap = self.max_outer_iters?;
+        if self.depth != 0 || self.p.mega {
+            return None;
+        }
+        let step = l.counted_step?;
+        let i0 = self.uniform_int(init, m)?;
+        let bound = self.eval(&l.bound, 1, m).ok()?;
+        let b0 = self.uniform_int(bound, m)?;
+        let trips = ((b0 - i0).max(0) as u64).div_ceil(step as u64);
+        (trips > cap).then_some((cap, trips, i0, step))
+    }
+
+    /// Evaluates `e` under mask `m`. Temporaries at depths `>= d` are free
+    /// for the evaluation; a lane result is left in the temporary at `d`.
+    /// Only the lanes of `m` are computed, so a masked-off lane can never
+    /// fault; what the other lanes of a result hold is unspecified.
+    fn eval(&mut self, e: &'a Expr, d: usize, m: usize) -> Result<Loc, ExecError> {
+        match e {
+            Expr::Const(v) => Ok(Loc::Uni(*v)),
+            Expr::Var(slot) if self.defined[*slot] => Ok(Loc::Var(*slot)),
+            Expr::Var(slot) => match self.p.vars[*slot].scalar {
+                Some(v) => Ok(Loc::Uni(Val::I(v))),
+                None => Err(self.undefined(*slot)),
+            },
+            Expr::Affine(a) => self.eval_affine(a, d, m),
+            Expr::Index(array, indices) => {
+                let base = self.eval_indices(indices, d + 1, m)?;
+                let (space, uniform) = self.access(array, base, indices.len(), m, false)?;
+                self.locs.truncate(base);
+                Ok(self.load(space, uniform, d, m))
+            }
+            Expr::Field(inner, field) => {
+                let a = self.eval(inner, d + 1, m)?;
+                self.zip(&[a], Kind::V, d, m, |v| {
+                    match v[0].component(field.lane()) {
+                        Some(x) => Ok((Val::F(x), false)),
+                        None => Err(ExecError::Unsupported(format!(
+                            ".{} on scalar",
+                            field.name()
+                        ))),
+                    }
+                })
+            }
+            Expr::Unary(op, inner) => {
+                let a = self.eval(inner, d + 1, m)?;
+                self.stats.warp_insts += self.masks[m].warps;
+                let kind = match op {
+                    UnOp::Not => Kind::I,
+                    UnOp::Neg => self.view(a).kind().lanes(),
+                };
+                self.zip(&[a], kind, d, m, |v| {
+                    let negated = match (op, v[0]) {
+                        (UnOp::Not, v) => Val::I(i64::from(!v.is_true())),
+                        (UnOp::Neg, Val::I(x)) => Val::I(x.wrapping_neg()),
+                        (UnOp::Neg, Val::F(x)) => Val::F(-x),
+                        (UnOp::Neg, _) => return Err(unsupported("negate vector")),
+                    };
+                    Ok((negated, false))
+                })
+            }
+            Expr::Cast(ty, inner) => {
+                let a = self.eval(inner, d + 1, m)?;
+                let kind = match ty {
+                    ScalarType::Int => Kind::I,
+                    _ => Kind::V,
+                };
+                self.zip(&[a], kind, d, m, |v| {
+                    let cast = match ty {
+                        ScalarType::Int => v[0].as_i().map(Val::I).ok_or("cast vector to int"),
+                        ScalarType::Float => v[0].as_f().map(Val::F).ok_or("cast vector to float"),
+                        _ => Err("cast to vector type"),
+                    };
+                    Ok((cast.map_err(unsupported)?, false))
+                })
+            }
+            Expr::Binary(op, l, r) => {
+                let a = self.eval(l, d + 1, m)?;
+                let b = self.eval(r, d + 2, m)?;
+                self.stats.warp_insts += self.masks[m].warps;
+                let ints = |loc| self.view(loc).kind().lanes() == Kind::I;
+                // Integer × integer stays integral, and every predicate
+                // yields 0/1.
+                let kind = if (ints(a) && ints(b)) || op.is_predicate() {
+                    Kind::I
+                } else {
+                    Kind::V
+                };
+                let is_f = |v: Val| matches!(v, Val::F(_));
+                self.zip(&[a, b], kind, d, m, |v| {
+                    let flop = !op.is_predicate() && (is_f(v[0]) || is_f(v[1]));
+                    Ok((binop(*op, v[0], v[1])?, flop))
+                })
+            }
+            Expr::Call(name, args) => {
+                // No intrinsic takes more than two arguments; a longer
+                // call is unknown whatever they are.
+                let mut locs = [Loc::Uni(Val::I(0)); 2];
+                for (i, arg) in args.iter().enumerate() {
+                    let loc = self.eval(arg, d + 1 + i, m)?;
+                    if let Some(slot) = locs.get_mut(i) {
+                        *slot = loc;
+                    }
+                }
+                self.stats.warp_insts += self.masks[m].warps;
+                let n = args.len();
+                self.zip(&locs[..n.min(2)], Kind::V, d, m, |v| {
+                    if n > 2 {
+                        return Err(ExecError::Unsupported(format!(
+                            "intrinsic `{name}` with {n} argument(s)"
+                        )));
+                    }
+                    Ok((intrinsic(name, &v[..n])?, true))
+                })
+            }
+            Expr::Select(c, t, f) => {
+                // Branches evaluate under refined masks so an inactive
+                // lane's side never touches memory.
+                let c = self.eval(c, d + 1, m)?;
+                let top = self.mask_top;
+                let (t_m, f_m) = self.split(m, c, true);
+                let t = self.eval(t, d + 2, t_m)?;
+                let f = self.eval(f, d + 3, f_m)?;
+                self.mask_top = top;
+                self.stats.warp_insts += self.masks[m].warps;
+                self.zip(&[c, t, f], Kind::V, d, m, |v| {
+                    Ok((if v[0].is_true() { v[1] } else { v[2] }, false))
+                })
+            }
+        }
+    }
+
+    /// `f` over the active lanes of up to three operands; the result lands
+    /// in a column of `kind` at depth `d`, or stays uniform when every
+    /// operand is. `f` also says whether the lane executed a flop.
+    fn zip(
+        &mut self,
+        args: &[Loc],
+        kind: Kind,
+        d: usize,
+        m: usize,
+        f: impl Fn(&[Val; 3]) -> Result<(Val, bool), ExecError>,
+    ) -> Result<Loc, ExecError> {
+        let active = self.masks[m].active as u64;
+        if active == 0 {
+            return Ok(Loc::Uni(Val::I(0)));
+        }
+        if let [View::U(a), View::U(b), View::U(c)] = self.views(args) {
+            let (v, flop) = f(&[a, b, c])?;
+            self.stats.flops += active * u64::from(flop);
+            return Ok(Loc::Uni(v));
+        }
+        let mut out = self.temp(d, kind);
+        let views = self.views(args);
+        let mut flops = 0;
+        lanes!(&self.masks[m], l, {
+            let (v, flop) = f(&[views[0].val(l), views[1].val(l), views[2].val(l)])?;
+            flops += u64::from(flop);
+            out.set(l, v);
+        });
+        self.stats.flops += flops;
+        Ok(self.put(d, out))
+    }
+
+    fn eval_affine(&mut self, a: &'a AffineExpr, d: usize, m: usize) -> Result<Loc, ExecError> {
+        let term = |acc: i64, c: i64, v: i64| acc.wrapping_add(c.wrapping_mul(v));
+        let mut base = term(term(a.konst, a.bid.0, self.block.0), a.bid.1, self.block.1);
+        let mut lane_vars = false;
+        if let Some((vars, fallback)) = &a.vars {
+            for &(slot, c) in vars {
+                match (
+                    self.defined[slot],
+                    self.vars[slot].kind,
+                    self.p.vars[slot].scalar,
+                ) {
+                    (true, Kind::U(Val::I(v)), _) | (false, _, Some(v)) => base = term(base, c, v),
+                    (true, Kind::I, _) => lane_vars = true,
+                    // Undefined, or not an integer: the nested form decides.
+                    _ => return self.eval(fallback, d, m),
+                }
+            }
+        }
+        self.stats.warp_insts += a.ops * self.masks[m].warps;
+        if a.table.is_none() && !lane_vars {
+            return Ok(Loc::Uni(Val::I(base)));
+        }
+        let mut out = self.temp(d, Kind::I);
+        match a.table {
+            Some(t) => {
+                let table = &self.p.tables[t];
+                out.i
+                    .iter_mut()
+                    .zip(table)
+                    .for_each(|(o, &lane)| *o = base.wrapping_add(lane));
+            }
+            None => out.i.fill(base),
+        }
+        for &(slot, c) in a.vars.iter().flat_map(|(vars, _)| vars) {
+            if let (true, Kind::I) = (self.defined[slot], self.vars[slot].kind) {
+                let lanes = &self.vars[slot].i;
+                out.i
+                    .iter_mut()
+                    .zip(lanes)
+                    .for_each(|(o, &v)| *o = term(*o, c, v));
+            }
+        }
+        Ok(self.put(d, out))
+    }
+
+    /// Evaluates subscripts at depths `d..`, pushing their locations on the
+    /// subscript stack; returns where they start.
+    fn eval_indices(
+        &mut self,
+        indices: &'a [Expr],
+        d: usize,
+        m: usize,
+    ) -> Result<usize, ExecError> {
+        let base = self.locs.len();
+        for (i, ix) in indices.iter().enumerate() {
+            let loc = self.eval(ix, d + i, m)?;
+            self.locs.push(loc);
+        }
+        Ok(base)
+    }
+
+    /// The subscripts lane `l` of an access evaluated to.
+    fn indices_at(&self, acc: Access<'_>, l: usize) -> Vec<i64> {
+        let locs = &self.locs[acc.base..acc.base + acc.rank];
+        locs.iter().map(|&loc| self.view(loc).index(l)).collect()
+    }
+
+    /// Linearizes the subscripts at `base` into per-lane element offsets
+    /// (`self.offs`), or into one offset when every subscript is uniform,
+    /// and finds the first active lane with a subscript outside `limits`.
+    fn linearize(
+        &mut self,
+        base: usize,
+        limits: &[i64],
+        strides: &[i64],
+        m: usize,
+    ) -> (Option<i64>, Option<usize>) {
+        let mask = &self.masks[m];
+        let mut konst = 0i64;
+        let mut bad: Option<usize> = None;
+        let mut lanes = false;
+        for (d, (&limit, &stride)) in limits.iter().zip(strides).enumerate() {
+            let view = view_of(&self.temps, &self.vars, self.locs[base + d]);
+            if let View::U(v) = view {
+                let ix = v.as_i().unwrap_or(0);
+                if ix < 0 || ix >= limit {
+                    bad = mask.first();
+                }
+                konst = konst.wrapping_add(ix.wrapping_mul(stride));
+                continue;
+            }
+            if !std::mem::replace(&mut lanes, true) {
+                self.offs.fill(0);
+            }
+            for (l, off) in self.offs.iter_mut().enumerate() {
+                let ix = match view {
+                    View::I(s) => s[l],
+                    _ => view.index(l),
+                };
+                if (ix < 0 || ix >= limit) && mask.bits[l] && bad.is_none_or(|b| l < b) {
+                    bad = Some(l);
+                }
+                *off = off.wrapping_add(ix.wrapping_mul(stride));
+            }
+        }
+        if !lanes {
+            return (Some(konst), bad);
+        }
+        self.offs
+            .iter_mut()
+            .for_each(|o| *o = o.wrapping_add(konst));
+        (None, bad)
+    }
+
+    /// Resolves the array and runs the access protocol over the subscripts
+    /// at `base`: sanitize → trace (→ the caller moves the data). Returns
+    /// the space and the access's uniform element offset, if it has one;
+    /// per-lane offsets are in `self.offs`.
+    fn access(
+        &mut self,
+        array: &'a ArrayRef,
+        base: usize,
+        rank: usize,
+        m: usize,
+        write: bool,
+    ) -> Result<(Space, Option<i64>), ExecError> {
+        // Until linearized: the verdict on a rank mismatch, which faults
+        // the first active lane.
+        let (uniform, bad) = (Some(0), self.masks[m].first());
+        let mut acc = Access {
+            array,
+            base,
+            rank,
+            m,
+            write,
+            uniform,
+            bad,
+        };
+        if let Some(s) = array.shared.filter(|&s| self.shared[s].declared) {
+            let buf = std::mem::take(&mut self.shared[s]);
+            let ranked = rank == buf.dims.len();
+            if ranked {
+                (acc.uniform, acc.bad) = self.linearize(base, &buf.dims, &buf.strides, m);
+            }
+            self.shared[s] = buf;
+            if SAN {
+                self.sanitize_shared(s, acc)?;
+            }
+            if let Some(l) = acc.bad {
+                let dims = &self.shared[s].dims;
+                return Err(ExecError::Unsupported(if ranked {
+                    let indices = self.indices_at(acc, l);
+                    format!("shared access out of bounds: {indices:?} in {dims:?}")
+                } else {
+                    format!("shared array rank mismatch: {rank} vs {}", dims.len())
+                }));
+            }
+            self.trace_shared(acc);
+            return Ok((Space::Shared(s), acc.uniform));
+        }
+        let unknown = || DeviceError::UnknownBuffer(array.name.clone());
+        let g = array.global.ok_or_else(unknown)?;
+        let p = self.p;
+        let global = &p.globals[g];
+        if rank == global.limits.len() {
+            (acc.uniform, acc.bad) = self.linearize(base, &global.limits, &global.strides, m);
+        } else if bad.is_some() {
+            return Err(ExecError::Device(DeviceError::RankMismatch {
+                array: array.name.clone(),
+                got: rank,
+                expected: global.limits.len(),
+            }));
+        }
+        if SAN {
+            self.sanitize_global(global, acc)?;
+        }
+        self.trace_global(global, acc)?;
+        Ok((Space::Global(g), acc.uniform))
+    }
+
+    /// Gathers the loaded lanes of an access [`Self::access`] has checked.
+    fn load(&mut self, space: Space, uniform: Option<i64>, d: usize, m: usize) -> Loc {
+        if self.masks[m].active == 0 {
+            return Loc::Uni(Val::F(0.0));
+        }
+        // Address-only buffers read as zeros whatever the offset.
+        let phantom = matches!(space, Space::Global(g) if self.p.globals[g].phantom);
+        if let Some(off) = uniform.or(phantom.then_some(0)) {
+            return Loc::Uni(match space {
+                Space::Shared(s) => Val::F(self.shared[s].data[off as usize]),
+                Space::Global(g) => self.device.slots()[self.p.globals[g].slot].load(off as usize),
+            });
+        }
+        let mut out = self.temp(d, Kind::V);
+        let (mask, offs) = (&self.masks[m], &self.offs);
+        match space {
+            Space::Shared(s) => {
+                let data = &self.shared[s].data;
+                lanes!(mask, l, { out.v[l] = Val::F(data[offs[l] as usize]) });
+            }
+            Space::Global(g) => {
+                let buf = &self.device.slots()[self.p.globals[g].slot];
+                lanes!(mask, l, { out.v[l] = buf.load(offs[l] as usize) });
+            }
+        }
+        self.put(d, out)
     }
 
     /// Sanitize-mode pre-check of one vector global access: true
     /// out-of-bounds, reads of never-written padding, and uninitialized
     /// reads. Runs before the access so the finding, not a generic device
     /// fault, reaches the caller.
-    fn sanitize_global(
-        &self,
-        array: &str,
-        idx_vals: &[Vec<i64>],
-        mask: &[bool],
-        write: bool,
-    ) -> Result<(), ExecError> {
-        if !self.sanitize {
+    fn sanitize_global(&self, global: &Global, acc: Access<'_>) -> Result<(), ExecError> {
+        let buf = &self.device.slots()[global.slot];
+        if acc.bad.is_none() && (acc.write || global.phantom) {
             return Ok(());
         }
-        let buf = self.device.buffer(array)?;
-        for lane in 0..self.nt {
-            if !mask[lane] {
+        lanes!(&self.masks[acc.m], l, {
+            let oob = acc.bad == Some(l);
+            let off = acc.uniform.unwrap_or(self.offs[l]);
+            if !oob && (acc.write || buf.cell_initialized(off)) {
+                if acc.uniform.is_some() {
+                    break; // every lane reads this same cell
+                }
                 continue;
             }
-            let idx = &idx_vals[lane];
-            match buf.elem_offset(idx) {
-                Ok(off) => {
-                    if !write && !buf.cell_initialized(off) {
-                        let kind = if buf.is_padding(idx) {
-                            SanitizerKind::GlobalOutOfBounds {
-                                array: array.to_string(),
-                                indices: idx.clone(),
-                                write: false,
-                                padding: true,
-                            }
-                        } else {
-                            SanitizerKind::UninitializedRead {
-                                array: array.to_string(),
-                                indices: idx.clone(),
-                                shared: false,
-                            }
-                        };
-                        return Err(sanitizer_err(self.spans, kind));
-                    }
+            let (array, indices) = (acc.array.name.clone(), self.indices_at(acc, l));
+            // Inside the row pitch but beyond the logical extent.
+            let padding = !oob && indices.last().is_some_and(|&ix| ix >= global.row_len);
+            let kind = if oob || padding {
+                SanitizerKind::GlobalOutOfBounds {
+                    array,
+                    indices,
+                    write: acc.write,
+                    padding,
                 }
-                Err(DeviceError::OutOfBounds { .. }) => {
-                    return Err(sanitizer_err(
-                        self.spans,
-                        SanitizerKind::GlobalOutOfBounds {
-                            array: array.to_string(),
-                            indices: idx.clone(),
-                            write,
-                            padding: false,
-                        },
-                    ));
+            } else {
+                SanitizerKind::UninitializedRead {
+                    array,
+                    indices,
+                    shared: false,
                 }
-                Err(e) => return Err(e.into()),
-            }
-        }
+            };
+            return Err(sanitizer_err(self.spans, kind));
+        });
         Ok(())
     }
 
     /// Sanitize-mode pre-check of one vector shared access: bounds,
     /// uninitialized reads, and same-epoch races between lanes.
-    fn sanitize_shared(
-        &mut self,
-        array: &str,
-        idx_vals: &[Vec<i64>],
-        mask: &[bool],
-        write: bool,
-    ) -> Result<(), ExecError> {
-        if !self.sanitize {
-            return Ok(());
-        }
-        let spans = self.spans;
-        let epoch = self.epoch;
-        let nt = self.nt;
-        let dims = match self.shared.get(array) {
-            Some(b) => b.dims.clone(),
-            None => return Ok(()),
-        };
-        let Some(cells) = self.shared_shadow.get_mut(array) else {
-            return Ok(());
-        };
-        for lane in 0..nt {
-            if !mask[lane] {
-                continue;
-            }
-            let idx = &idx_vals[lane];
-            let mut off: i64 = 0;
-            let mut oob = idx.len() != dims.len();
-            if !oob {
-                for (&ix, &extent) in idx.iter().zip(&dims) {
-                    if ix < 0 || ix >= extent {
-                        oob = true;
-                        break;
-                    }
-                    off = off * extent + ix;
+    fn sanitize_shared(&mut self, s: usize, acc: Access<'_>) -> Result<(), ExecError> {
+        let mut cells = std::mem::take(&mut self.shared[s].shadow);
+        let (epoch, array) = (self.epoch, || acc.array.name.clone());
+        lanes!(&self.masks[acc.m], l, {
+            let lane = l as u32;
+            let offset = acc.uniform.unwrap_or(self.offs[l]) as usize;
+            let kind = if acc.bad == Some(l) {
+                SanitizerKind::SharedOutOfBounds {
+                    array: array(),
+                    indices: self.indices_at(acc, l),
+                    write: acc.write,
                 }
-            }
-            if oob {
-                return Err(sanitizer_err(
-                    spans,
-                    SanitizerKind::SharedOutOfBounds {
-                        array: array.to_string(),
-                        indices: idx.clone(),
-                        write,
-                    },
-                ));
-            }
-            let cell = &mut cells[off as usize];
-            if write {
-                if let Some((other, write_write)) = cell.record_write(epoch, lane as u32) {
-                    return Err(sanitizer_err(
-                        spans,
-                        SanitizerKind::SharedRace {
-                            array: array.to_string(),
-                            offset: off as usize,
-                            lanes: (lane as u32, other),
-                            write_write,
-                        },
-                    ));
+            } else if !acc.write && !cells[offset].written {
+                SanitizerKind::UninitializedRead {
+                    array: array(),
+                    indices: self.indices_at(acc, l),
+                    shared: true,
                 }
             } else {
-                if !cell.written {
-                    return Err(sanitizer_err(
-                        spans,
-                        SanitizerKind::UninitializedRead {
-                            array: array.to_string(),
-                            indices: idx.clone(),
-                            shared: true,
-                        },
-                    ));
+                let race = if acc.write {
+                    let race = cells[offset].record_write(epoch, lane);
+                    race.map(|(other, write_write)| ((lane, other), write_write))
+                } else {
+                    let race = cells[offset].record_read(epoch, lane);
+                    race.map(|other| ((other, lane), false))
+                };
+                let Some((lanes, write_write)) = race else {
+                    continue;
+                };
+                SanitizerKind::SharedRace {
+                    array: array(),
+                    offset,
+                    lanes,
+                    write_write,
                 }
-                if let Some(other) = cell.record_read(epoch, lane as u32) {
-                    return Err(sanitizer_err(
-                        spans,
-                        SanitizerKind::SharedRace {
-                            array: array.to_string(),
-                            offset: off as usize,
-                            lanes: (other, lane as u32),
-                            write_write: false,
-                        },
-                    ));
-                }
-            }
-        }
+            };
+            return Err(sanitizer_err(self.spans, kind));
+        });
+        self.shared[s].shadow = cells;
         Ok(())
-    }
-
-    /// Evaluates index expressions to concrete per-lane coordinates.
-    fn eval_indices(
-        &mut self,
-        indices: &[Expr],
-        mask: &[bool],
-    ) -> Result<Vec<Vec<i64>>, ExecError> {
-        let mut per_dim: Vec<Vec<Val>> = Vec::with_capacity(indices.len());
-        for ix in indices {
-            per_dim.push(self.eval(ix, mask)?);
-        }
-        let mut out = vec![Vec::with_capacity(indices.len()); self.nt];
-        for lane in 0..self.nt {
-            for dim in &per_dim {
-                out[lane].push(dim[lane].as_i().unwrap_or(0));
-            }
-        }
-        Ok(out)
     }
 
     /// Records global-memory traffic for one vector access, streaming one
-    /// [`MemEvent`] per touched 32-byte line into the sink.
-    fn trace_global(
-        &mut self,
-        array: &str,
-        idx_vals: &[Vec<i64>],
-        mask: &[bool],
-        write: bool,
-    ) -> Result<(), ExecError> {
-        let buffer: &Buffer = self.device.buffer(array)?;
-        let elem_bytes = buffer.layout.elem.size_bytes() as i64;
+    /// [`MemEvent`] per touched 32-byte line into the sink. Scratch is
+    /// fixed-size: the 16 lanes of a half warp touch at most 32 lines.
+    fn trace_global(&mut self, global: &Global, acc: Access<'_>) -> Result<(), ExecError> {
+        let elem_bytes = global.elem.size_bytes() as i64;
         let geometry = self.device.machine.partitions;
         let strict = self.device.machine.strict_coalescing;
-        let nparts = geometry.count as usize;
-        let mut lines: Vec<i64> = Vec::with_capacity(32);
-        let mut addrs: Vec<i64> = Vec::with_capacity(16);
-        for chunk_start in (0..self.nt).step_by(16) {
-            lines.clear();
-            addrs.clear();
-            let mut lane_lines = 0u64;
-            let mut active_lanes = 0u64;
-            for lane in chunk_start..(chunk_start + 16).min(self.nt) {
-                if !mask[lane] {
-                    continue;
-                }
-                active_lanes += 1;
-                let off = buffer.elem_offset(&idx_vals[lane])?;
-                let addr = buffer.byte_addr(off);
+        let (stats, sink, request_ix) = (&mut *self.stats, &mut *self.sink, &mut self.request_ix);
+        let sm = self.sm_id;
+        let traced = half_warps(&self.masks[acc.m].bits, &self.offs, acc, |offs| {
+            let active_lanes = offs.len() as u64;
+            let (mut lines, mut n_lines) = ([0i64; 32], 0);
+            let (mut distinct, mut lane_lines) = (0u64, 0u64);
+            let (mut low, mut high) = (i64::MAX, i64::MIN);
+            // Ascending consecutive elements (the coalesced case) cannot
+            // repeat an address, and repeat a line only back to back.
+            let sequential = offs.windows(2).all(|w| w[1] == w[0] + 1);
+            for (i, &off) in offs.iter().enumerate() {
+                let addr = global.base_addr + off * elem_bytes;
                 // Useful bytes are deduplicated: a broadcast serves all
                 // lanes from one element.
-                if !addrs.contains(&addr) {
-                    addrs.push(addr);
-                    self.stats.useful_bytes += elem_bytes as u64;
+                if sequential || !offs[..i].contains(&off) {
+                    distinct += 1;
+                    (low, high) = (low.min(addr), high.max(addr));
                 }
-                let mut line = addr / 32;
                 let last = (addr + elem_bytes - 1) / 32;
-                lane_lines += (last - line + 1) as u64;
-                while line <= last {
-                    if !lines.contains(&line) {
-                        lines.push(line);
+                lane_lines += (last - addr / 32 + 1) as u64;
+                for line in addr / 32..=last {
+                    let seen = &lines[..n_lines];
+                    if seen.last() != Some(&line) && (sequential || !seen.contains(&line)) {
+                        lines[n_lines] = line;
+                        n_lines += 1;
                     }
-                    line += 1;
                 }
             }
-            if addrs.is_empty() {
-                continue;
-            }
+            let lines = &lines[..n_lines];
+            stats.useful_bytes += distinct * elem_bytes as u64;
             // G80 strict rule (paper §2): unless the half warp forms one
             // aligned sequential segment, every thread issues its own
-            // (32-byte-minimum) transaction — no line-level grouping.
-            let perfect = {
-                let mut sorted = addrs.clone();
-                sorted.sort_unstable();
-                // No duplicate addresses (broadcasts are not coalesced on
-                // G80), aligned base, sequential element spacing.
-                sorted.len() as u64 == active_lanes
-                    && sorted[0] % (16 * elem_bytes) == 0
-                    && sorted
-                        .windows(2)
-                        .all(|w| w[1] - w[0] == elem_bytes)
-            };
-            let (transactions, bytes) = if strict && !perfect {
-                let n = lane_lines.max(active_lanes);
-                (n, n * 32)
+            // (32-byte-minimum) transaction — no line-level grouping. A
+            // segment has no duplicate addresses (broadcasts are not
+            // coalesced on G80) and an aligned base; its distinct
+            // addresses, whole elements apart, are sequential exactly
+            // when they span `count - 1` elements.
+            let perfect = distinct == active_lanes
+                && low % (16 * elem_bytes) == 0
+                && high - low == (distinct as i64 - 1) * elem_bytes;
+            let transactions = if strict && !perfect {
+                lane_lines.max(active_lanes)
             } else {
-                (lines.len() as u64, lines.len() as u64 * 32)
+                lines.len() as u64
             };
-            self.stats.gmem_requests += 1;
-            self.stats.global_transactions += transactions;
-            self.stats.global_bytes += bytes;
-            let tick = self.request_ix as u64;
-            let ts = self.request_ix % TIMELINE_CAP;
-            self.request_ix += 1;
-            if self.stats.partition_timeline.len() <= ts {
-                self.stats
-                    .partition_timeline
-                    .resize(ts + 1, vec![0; nparts]);
+            stats.gmem_requests += 1;
+            stats.global_transactions += transactions;
+            stats.global_bytes += transactions * 32;
+            let tick = *request_ix as u64;
+            let ts = *request_ix % TIMELINE_CAP;
+            *request_ix += 1;
+            if stats.partition_timeline.len() <= ts {
+                let nparts = geometry.count as usize;
+                stats.partition_timeline.resize(ts + 1, vec![0; nparts]);
             }
-            for &line in &lines {
+            for &line in lines {
                 let p = geometry.partition_of(line * 32) as usize;
-                self.stats.partition_hits[p] += 1;
-                self.stats.partition_timeline[ts][p] += 1;
-                self.sink.record(MemEvent {
+                stats.partition_hits[p] += 1;
+                stats.partition_timeline[ts][p] += 1;
+                sink.record(MemEvent {
                     line,
-                    write,
-                    sm: self.sm_id,
+                    write: acc.write,
+                    sm,
                     tick,
                 });
             }
-        }
-        Ok(())
+        });
+        traced.map_err(|l| {
+            ExecError::Device(DeviceError::OutOfBounds {
+                array: acc.array.name.clone(),
+                indices: self.indices_at(acc, l),
+            })
+        })
     }
 
     /// Records shared-memory traffic and bank conflicts.
-    fn trace_shared(
-        &mut self,
-        array: &str,
-        idx_vals: &[Vec<i64>],
-        mask: &[bool],
-    ) -> Result<(), ExecError> {
-        let banks = self.device.machine.shared_banks as i64;
-        let buf = &self.shared[array];
-        for chunk_start in (0..self.nt).step_by(16) {
-            let mut words: Vec<i64> = Vec::with_capacity(16);
-            for lane in chunk_start..(chunk_start + 16).min(self.nt) {
-                if !mask[lane] {
-                    continue;
-                }
-                words.push(buf.offset(&idx_vals[lane])? as i64);
-            }
-            if words.is_empty() {
-                continue;
-            }
-            self.stats.shared_accesses += 1;
+    fn trace_shared(&mut self, acc: Access<'_>) {
+        let banks = self.device.machine.shared_banks as usize;
+        let stats = &mut *self.stats;
+        let _ = half_warps(&self.masks[acc.m].bits, &self.offs, acc, |words| {
+            stats.shared_accesses += 1;
             // Conflict degree: max distinct words mapping to one bank
-            // (same-word broadcast is free).
-            let mut degree = 1i64;
-            for b in 0..banks {
-                let mut distinct: Vec<i64> = Vec::new();
-                for &w in &words {
-                    if w % banks == b && !distinct.contains(&w) {
-                        distinct.push(w);
+            // (same-word broadcast is free). Consecutive words fill the
+            // banks round-robin.
+            let degree = if words.windows(2).all(|w| w[1] == w[0] + 1) {
+                words.len().div_ceil(banks)
+            } else {
+                let (mut seen, mut n, mut degree) = ([0i64; 16], 0, 1);
+                for &w in words {
+                    if seen[..n].contains(&w) {
+                        continue;
                     }
+                    seen[n] = w;
+                    n += 1;
+                    let same_bank = |v: &&i64| (**v - w) % banks as i64 == 0;
+                    degree = degree.max(seen[..n].iter().filter(same_bank).count());
                 }
-                degree = degree.max(distinct.len() as i64);
-            }
-            self.stats.shared_conflict_cycles += (degree - 1) as u64;
-        }
-        Ok(())
-    }
-
-    fn eval(&mut self, e: &Expr, mask: &[bool]) -> Result<Vec<Val>, ExecError> {
-        match e {
-            Expr::Int(v) => Ok(vec![Val::I(*v); self.nt]),
-            Expr::Float(v) => Ok(vec![Val::F(*v as f32); self.nt]),
-            Expr::Builtin(b) => Ok((0..self.nt).map(|l| Val::I(self.builtin(*b, l))).collect()),
-            Expr::Var(name) => {
-                if let Some(vals) = self.env.get(name) {
-                    return Ok(vals.clone());
-                }
-                if let Some(&v) = self.scalars.get(name) {
-                    return Ok(vec![Val::I(v); self.nt]);
-                }
-                Err(ExecError::UndefinedVar(name.clone()))
-            }
-            Expr::Index { array, indices } => {
-                let idx_vals = self.eval_indices(indices, mask)?;
-                if self.shared.contains_key(array) {
-                    self.sanitize_shared(array, &idx_vals, mask, false)?;
-                    self.trace_shared(array, &idx_vals, mask)?;
-                    let buf = &self.shared[array];
-                    let mut out = vec![Val::F(0.0); self.nt];
-                    for lane in 0..self.nt {
-                        if mask[lane] {
-                            out[lane] = Val::F(buf.data[buf.offset(&idx_vals[lane])?]);
-                        }
-                    }
-                    Ok(out)
-                } else {
-                    self.sanitize_global(array, &idx_vals, mask, false)?;
-                    self.trace_global(array, &idx_vals, mask, false)?;
-                    let buf = self.device.buffer(array)?;
-                    let mut out = vec![Val::F(0.0); self.nt];
-                    for lane in 0..self.nt {
-                        if mask[lane] {
-                            out[lane] = buf.read(&idx_vals[lane])?;
-                        }
-                    }
-                    Ok(out)
-                }
-            }
-            Expr::Field(base, field) => {
-                let vals = self.eval(base, mask)?;
-                let mut out = vec![Val::F(0.0); self.nt];
-                for lane in 0..self.nt {
-                    if mask[lane] {
-                        out[lane] = Val::F(vals[lane].component(field.lane()).ok_or_else(
-                            || ExecError::Unsupported(format!(".{} on scalar", field_name(field))),
-                        )?);
-                    }
-                }
-                Ok(out)
-            }
-            Expr::Unary(op, inner) => {
-                let vals = self.eval(inner, mask)?;
-                self.stats.warp_insts += self.warps(mask);
-                vals.into_iter()
-                    .map(|v| match op {
-                        UnOp::Neg => match v {
-                            Val::I(x) => Ok(Val::I(-x)),
-                            Val::F(x) => Ok(Val::F(-x)),
-                            _ => Err(ExecError::Unsupported("negate vector".into())),
-                        },
-                        UnOp::Not => Ok(Val::I(i64::from(!v.is_true()))),
-                    })
-                    .collect()
-            }
-            Expr::Binary(op, l, r) => {
-                let lv = self.eval(l, mask)?;
-                let rv = self.eval(r, mask)?;
-                self.stats.warp_insts += self.warps(mask);
-                let mut out = Vec::with_capacity(self.nt);
-                let mut flops = 0u64;
-                for (lane, (a, b)) in lv.into_iter().zip(rv).enumerate() {
-                    let v = binop(*op, a, b)?;
-                    if mask[lane]
-                        && !op.is_predicate()
-                        && (matches!(a_ty(a), 1) || matches!(a_ty(b), 1))
-                    {
-                        flops += 1;
-                    }
-                    out.push(v);
-                }
-                self.stats.flops += flops;
-                Ok(out)
-            }
-            Expr::Call(name, args) => {
-                let mut arg_vals = Vec::with_capacity(args.len());
-                for a in args {
-                    arg_vals.push(self.eval(a, mask)?);
-                }
-                self.stats.warp_insts += self.warps(mask);
-                self.stats.flops += mask.iter().filter(|&&b| b).count() as u64;
-                let mut out = Vec::with_capacity(self.nt);
-                for lane in 0..self.nt {
-                    let args: Vec<Val> = arg_vals.iter().map(|v| v[lane]).collect();
-                    out.push(intrinsic(name, &args)?);
-                }
-                Ok(out)
-            }
-            Expr::Select(c, t, f) => {
-                // Branches evaluate under refined masks so an inactive
-                // lane's side never touches memory.
-                let cv = self.eval(c, mask)?;
-                let t_mask: Vec<bool> = mask
-                    .iter()
-                    .zip(&cv)
-                    .map(|(&m, v)| m && v.is_true())
-                    .collect();
-                let f_mask: Vec<bool> = mask
-                    .iter()
-                    .zip(&cv)
-                    .map(|(&m, v)| m && !v.is_true())
-                    .collect();
-                let tv = self.eval(t, &t_mask)?;
-                let fv = self.eval(f, &f_mask)?;
-                self.stats.warp_insts += self.warps(mask);
-                Ok((0..self.nt)
-                    .map(|l| if cv[l].is_true() { tv[l] } else { fv[l] })
-                    .collect())
-            }
-            Expr::Cast(ty, inner) => {
-                let vals = self.eval(inner, mask)?;
-                vals.into_iter()
-                    .map(|v| match ty {
-                        gpgpu_ast::ScalarType::Int => {
-                            v.as_i().map(Val::I).ok_or_else(|| {
-                                ExecError::Unsupported("cast vector to int".into())
-                            })
-                        }
-                        gpgpu_ast::ScalarType::Float => {
-                            v.as_f().map(Val::F).ok_or_else(|| {
-                                ExecError::Unsupported("cast vector to float".into())
-                            })
-                        }
-                        _ => Err(ExecError::Unsupported("cast to vector type".into())),
-                    })
-                    .collect()
-            }
-        }
-    }
-}
-
-fn field_name(f: &Field) -> &'static str {
-    f.name()
-}
-
-/// 1 for float operands, 0 otherwise (flop accounting).
-fn a_ty(v: Val) -> u8 {
-    match v {
-        Val::F(_) => 1,
-        _ => 0,
+                degree
+            };
+            stats.shared_conflict_cycles += degree as u64 - 1;
+        });
     }
 }
 
@@ -1533,18 +1840,10 @@ fn binop(op: BinOp, a: Val, b: Val) -> Result<Val, ExecError> {
             Add => x.wrapping_add(y),
             Sub => x.wrapping_sub(y),
             Mul => x.wrapping_mul(y),
-            Div => {
-                if y == 0 {
-                    return Err(ExecError::Unsupported("integer division by zero".into()));
-                }
-                x / y
-            }
-            Rem => {
-                if y == 0 {
-                    return Err(ExecError::Unsupported("integer modulo by zero".into()));
-                }
-                x.rem_euclid(y)
-            }
+            Div if y == 0 => return Err(unsupported("integer division by zero")),
+            Div => x.wrapping_div(y),
+            Rem if y == 0 => return Err(unsupported("integer modulo by zero")),
+            Rem => x.wrapping_rem_euclid(y),
             Shl => x << (y & 63),
             Shr => x >> (y & 63),
             Lt => i64::from(x < y),
@@ -1560,19 +1859,15 @@ fn binop(op: BinOp, a: Val, b: Val) -> Result<Val, ExecError> {
     }
     let (x, y) = match (a.as_f(), b.as_f()) {
         (Some(x), Some(y)) => (x, y),
-        _ => {
-            return Err(ExecError::Unsupported(
-                "arithmetic on vector values".into(),
-            ))
-        }
+        _ => return Err(unsupported("arithmetic on vector values")),
     };
-    let v = match op {
+    Ok(match op {
         Add => Val::F(x + y),
         Sub => Val::F(x - y),
         Mul => Val::F(x * y),
         Div => Val::F(x / y),
         Rem => Val::F(x % y),
-        Shl | Shr => return Err(ExecError::Unsupported("shift on floats".into())),
+        Shl | Shr => return Err(unsupported("shift on floats")),
         Lt => Val::I(i64::from(x < y)),
         Le => Val::I(i64::from(x <= y)),
         Gt => Val::I(i64::from(x > y)),
@@ -1581,8 +1876,7 @@ fn binop(op: BinOp, a: Val, b: Val) -> Result<Val, ExecError> {
         Ne => Val::I(i64::from(x != y)),
         And => Val::I(i64::from(x != 0.0 && y != 0.0)),
         Or => Val::I(i64::from(x != 0.0 || y != 0.0)),
-    };
-    Ok(v)
+    })
 }
 
 fn intrinsic(name: &str, args: &[Val]) -> Result<Val, ExecError> {
@@ -2336,6 +2630,51 @@ mod tests {
             block_y: 1,
         };
         launch(&k, &cfg, &bind, &mut dev, &san()).unwrap();
+    }
+
+    #[test]
+    fn masked_off_lanes_do_not_fault() {
+        // Lane 0 is masked off by the guard; its `idx % 0` must not be
+        // computed, let alone kill the launch.
+        let k = parse_kernel(
+            "__global__ void f(float a[n], float c[n], int n) {
+                if (tidx > 0) { c[idx] = a[(idx + 1) % tidx]; }
+            }",
+        )
+        .unwrap();
+        let b = binds(&[("n", 16)]);
+        let mut dev = device_for(&k, &b, MachineDesc::gtx280());
+        let src: Vec<f32> = (0..16).map(|v| v as f32 + 1.0).collect();
+        dev.buffer_mut("a").unwrap().upload(&src);
+        launch(
+            &k,
+            &LaunchConfig::one_d(1, 16),
+            &b,
+            &mut dev,
+            &ExecOptions::default(),
+        )
+        .unwrap();
+        let want: Vec<f32> = (0..16usize)
+            .map(|t| if t > 0 { src[(t + 1) % t] } else { 0.0 })
+            .collect();
+        assert_eq!(dev.buffer("c").unwrap().download(), want);
+        // An active lane dividing by zero still faults.
+        let k =
+            parse_kernel("__global__ void f(float c[n], int n) { c[idx] = 1.0f * (idx / tidx); }")
+                .unwrap();
+        let mut dev = device_for(&k, &b, MachineDesc::gtx280());
+        let err = launch(
+            &k,
+            &LaunchConfig::one_d(1, 16),
+            &b,
+            &mut dev,
+            &ExecOptions::default(),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            ExecError::Unsupported("integer division by zero".into())
+        );
     }
 
     #[test]

@@ -25,6 +25,7 @@
 pub mod cost;
 pub mod device;
 pub mod exec;
+mod lower;
 pub mod machine;
 pub mod mem;
 pub mod sanitize;

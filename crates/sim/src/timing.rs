@@ -17,9 +17,8 @@
 
 use crate::cost::CostModelKind;
 use crate::device::Device;
-use crate::exec::{
-    launch_with_sink, ExecError, ExecOptions, ExecStats, MemEvent, MemSink, NullSink, VecSink,
-};
+use crate::exec::{execute, ExecError, ExecOptions, ExecStats, MemEvent, NullSink, VecSink};
+use crate::lower::lower;
 use crate::machine::MachineDesc;
 use crate::mem::HierarchyStats;
 use gpgpu_analysis::{estimate_resources, resolve_layouts_padded, Bindings, LayoutError};
@@ -134,10 +133,13 @@ pub struct PerfEstimate {
     pub partition_imbalance: f64,
     /// Fraction of moved bytes the kernel actually used.
     pub coalescing_efficiency: f64,
-    /// Wall-clock microseconds spent in the phantom-trace phase (the
-    /// sampled interpreter run). Zero when the caller assembled the
-    /// estimate from pre-scaled stats via [`finish`].
+    /// Wall-clock microseconds spent in the phantom-trace phase (lowering
+    /// plus the sampled interpreter run). Zero when the caller assembled
+    /// the estimate from pre-scaled stats via [`finish`].
     pub trace_micros: u64,
+    /// The part of [`Self::trace_micros`] spent lowering the kernel to its
+    /// slot-resolved program, before any block executed.
+    pub lower_micros: u64,
     /// Wall-clock microseconds spent in the occupancy + analytical-model
     /// phase.
     pub model_micros: u64,
@@ -292,8 +294,10 @@ pub(crate) struct SampledTrace {
     pub factor: f64,
     /// Resident blocks per SM from the occupancy computation.
     pub blocks_per_sm: u32,
-    /// Wall-clock microseconds in the interpreter.
+    /// Wall-clock microseconds in the interpreter, lowering included.
     pub trace_micros: u64,
+    /// Wall-clock microseconds of that spent lowering.
+    pub lower_micros: u64,
     /// Wall-clock microseconds in the occupancy computation.
     pub occupancy_micros: u64,
     /// Raw (unscaled) transaction stream; empty unless requested.
@@ -332,13 +336,14 @@ pub(crate) fn sample_trace(
         block_clusters: opts.block_clusters,
         ..ExecOptions::default()
     };
+    let program = lower(kernel, cfg, bindings, &device)?;
+    let lower_micros = trace_started.elapsed().as_micros() as u64;
     let mut events = VecSink::default();
-    let sink: &mut dyn MemSink = if collect_events {
-        &mut events
+    let stats = if collect_events {
+        execute(&program, &mut device, &exec_opts, &mut events)?
     } else {
-        &mut NullSink
+        execute(&program, &mut device, &exec_opts, &mut NullSink)?
     };
-    let stats = launch_with_sink(kernel, cfg, bindings, &mut device, &exec_opts, sink)?;
     let trace_micros = trace_started.elapsed().as_micros() as u64;
 
     let block_factor = if stats.blocks_executed == 0 {
@@ -352,6 +357,7 @@ pub(crate) fn sample_trace(
         factor,
         blocks_per_sm,
         trace_micros,
+        lower_micros,
         occupancy_micros,
         events: events.events,
     })
@@ -417,6 +423,7 @@ pub fn finish(
         partition_imbalance: imbalance,
         coalescing_efficiency: stats.coalescing_efficiency(),
         trace_micros: 0,
+        lower_micros: 0,
         model_micros: 0,
         hierarchy: None,
         stats,
@@ -610,6 +617,7 @@ mod tests {
             partition_imbalance: 1.0,
             coalescing_efficiency: 1.0,
             trace_micros: 0,
+            lower_micros: 0,
             model_micros: 0,
             hierarchy: None,
             stats: ExecStats::default(),

@@ -31,7 +31,8 @@ fn mm_opts(n: i64) -> CompileOptions {
 }
 
 /// Armed-fault state is process-global; every test that arms one must hold
-/// this lock for its whole body.
+/// this lock for its whole body — and so must every test that expects a
+/// clean compile, or a sibling's armed fault lands in it.
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 /// Disarms the injector when a test body exits, even on assertion failure.
@@ -162,6 +163,7 @@ fn span_stack_balances_when_one_candidate_panics() {
 /// it, and an aggregate table consistent with the raw records.
 #[test]
 fn clean_compile_span_tree_is_well_formed() {
+    let _lock = FAULT_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let k = parse_kernel(MM).unwrap();
     let compiled = compile(&k, &mm_opts(128)).unwrap();
     let spans = compiled.profiler.spans();
@@ -199,6 +201,7 @@ fn clean_compile_span_tree_is_well_formed() {
 
 #[test]
 fn v1_documents_still_parse_and_v2_is_a_superset() {
+    let _lock = FAULT_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     assert!(schema_supported(SCHEMA));
     assert!(schema_supported(SCHEMA_V1));
     assert!(!schema_supported("gpgpu-trace/v3"));

@@ -125,6 +125,34 @@ fn the_hand_written_bug_table_maps_to_exact_kinds() {
     }
 }
 
+/// A guard keeps lane 0 away from a division by its own thread id: the
+/// masked-off lane must neither fault the launch nor trip a check, and the
+/// guarded lanes must see the quotient.
+#[test]
+fn guarded_division_is_clean_under_the_sanitizer() {
+    let k = parse_kernel(
+        "__global__ void f(float a[n], float c[n], int n) {
+            c[idx] = 0.0f;
+            if (tidx > 0) { c[idx] = a[(idx * 3) / tidx % n]; }
+        }",
+    )
+    .expect("guarded kernel parses");
+    let b = binds(&[("n", 32)]);
+    let mut dev = device_for(&k, &b);
+    upload_iota(&mut dev, "a", 32);
+    let opts = ExecOptions {
+        sanitize: true,
+        ..ExecOptions::default()
+    };
+    launch(&k, &LaunchConfig::one_d(2, 16), &b, &mut dev, &opts).expect("no lane faults");
+    let c = dev.buffer("c").unwrap().download();
+    for (idx, &got) in c.iter().enumerate() {
+        // Lane 0 of each block is guarded off and keeps the 0.0 store.
+        let want = (idx * 3).checked_div(idx % 16).map_or(0, |q| q % 32);
+        assert_eq!(got, want as f32, "thread {idx}");
+    }
+}
+
 /// The matrix-vector staging kernel every injection test plants bugs into.
 fn mv_kernel() -> gpgpu::ast::Kernel {
     parse_kernel(
