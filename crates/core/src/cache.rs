@@ -33,21 +33,13 @@
 use crate::pipeline::{CompileOptions, CompiledKernel};
 use gpgpu_ast::{print_kernel, Kernel, PrintOptions};
 use gpgpu_trace::Json;
+use gpgpu_tuning::shape::fnv1a;
 
 /// Version tag of the compile-cache format. Stamped into every persisted
 /// entry and mixed into every fingerprint: changing the artifact schema or
 /// the fingerprint definition bumps this and orphans (invalidates) all
 /// previously stored entries.
 pub const CACHE_SCHEMA: &str = "gpgpu-cache/v3";
-
-/// 64-bit FNV-1a.
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// Incremental 128-bit fingerprint state: two independent FNV-1a streams
 /// (different offset bases, a domain byte injected into the second) so a

@@ -34,11 +34,19 @@
 //!   verifies the result element-for-element against the *round-trip
 //!   reference* — the two members spliced around a grid-wide barrier,
 //!   which is observationally the sequential unfused execution.
+//! * **Compile unit** ([`compile_unit`]) — the one entry point callers
+//!   that serve requests use: a unit is one kernel or a pair, a pair is
+//!   fused when the driver delivers and compiled member by member when it
+//!   does not, and either outcome renders as one cacheable artifact
+//!   ([`UnitCompile::cache_artifact`]). The service engine and `gpgpuc
+//!   fuse` hold no fallback policy of their own.
 
 mod driver;
 mod plan;
 mod transform;
+mod unit;
 
 pub use driver::{compile_fused, compile_fused_sanitized, FusedCompile, FusionError};
 pub use plan::{plan_fusion, FusionMode, FusionPlan, RejectReason};
 pub use transform::FusionPass;
+pub use unit::{compile_unit, UnitCompile, UnitError};

@@ -11,10 +11,9 @@
 //! that fails either check is deleted and treated as a miss.
 
 use gpgpu_core::{CachedArtifact, CACHE_SCHEMA};
-use gpgpu_tuning::fault;
+use gpgpu_tuning::durable;
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// What a cache probe did, for the metrics/trace plumbing.
@@ -101,8 +100,10 @@ impl DiskCache {
     /// can count it).
     fn load(&self, fingerprint: &str) -> Result<Option<CachedArtifact>, DiskFault> {
         let path = self.path_for(fingerprint);
-        let mut text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
+        // Under `GPGPU_FAULT=io:corrupt-read` the bytes come back garbled,
+        // exercising the delete-and-self-heal path below.
+        let bytes = match durable::read_file(&path) {
+            Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => {
                 return Err(DiskFault {
@@ -111,14 +112,9 @@ impl DiskCache {
                 })
             }
         };
-        // `GPGPU_FAULT=io:corrupt-read` — garble the bytes the way a bad
-        // sector would, exercising the delete-and-self-heal path below.
-        if fault::io_read_corrupt() && !text.is_empty() {
-            let mid = text.len() / 2;
-            text.replace_range(mid..mid + 1, "\u{1}");
-        }
-        let parsed = gpgpu_trace::parse_json(&text)
+        let parsed = String::from_utf8(bytes)
             .map_err(|e| e.to_string())
+            .and_then(|text| gpgpu_trace::parse_json(&text).map_err(|e| e.to_string()))
             .and_then(|doc| CachedArtifact::from_json(&doc));
         match parsed {
             Ok(artifact) if artifact.fingerprint == fingerprint => Ok(Some(artifact)),
@@ -143,10 +139,10 @@ impl DiskCache {
         }
     }
 
-    /// Persists an entry. Writes to a temp file, fsyncs it, renames, and
-    /// fsyncs the directory (the tuning store's publish discipline) so a
+    /// Persists an entry with the tuning store's publish discipline —
+    /// write a temp file, fsync it, rename, fsync the directory — so a
     /// crash cannot leave a half-written artifact under the real name.
-    /// The write and the rename run through the `io:*` fault probes
+    /// The write and the rename carry the `io:*` fault probes
     /// (`short-write`, `enospc`, `rename`) so the engine's degrade path is
     /// testable.
     fn store(&self, artifact: &CachedArtifact) -> Result<(), String> {
@@ -157,40 +153,13 @@ impl DiskCache {
             std::process::id()
         ));
         let payload = artifact.to_json().pretty();
-        let write_tmp = || -> std::io::Result<()> {
-            match fault::io_write_fault() {
-                Some(fault::IoWriteFault::ShortWrite) => {
-                    // Persist a real torn prefix, then fail — the tmp file
-                    // on disk looks exactly like a mid-write crash.
-                    std::fs::write(&tmp, &payload.as_bytes()[..payload.len() / 2])?;
-                    Err(std::io::Error::other("injected short write"))
-                }
-                Some(fault::IoWriteFault::Enospc) => Err(std::io::Error::new(
-                    std::io::ErrorKind::StorageFull,
-                    "injected ENOSPC",
-                )),
-                None => {
-                    let mut f = File::create(&tmp)?;
-                    f.write_all(payload.as_bytes())?;
-                    f.sync_data()
-                }
-            }
-        };
-        let write = write_tmp().and_then(|()| {
-            if fault::io_rename_fault() {
-                return Err(std::io::Error::other("injected rename failure"));
-            }
-            std::fs::rename(&tmp, &path)?;
-            // Make the rename itself durable.
-            if let Ok(d) = File::open(&self.dir) {
-                let _ = d.sync_all();
-            }
-            Ok(())
-        });
-        write.map_err(|e| {
-            let _ = std::fs::remove_file(&tmp);
-            format!("store {}: {e}", path.display())
-        })
+        File::create(&tmp)
+            .and_then(|mut f| durable::faultable_write(&mut f, payload.as_bytes()))
+            .and_then(|()| durable::faultable_rename(&tmp, &path))
+            .map_err(|e| {
+                let _ = std::fs::remove_file(&tmp);
+                format!("store {}: {e}", path.display())
+            })
     }
 }
 

@@ -15,11 +15,12 @@ use crate::queue::BoundedQueue;
 use crate::request::{
     CacheDisposition, CompileRequest, CompileResponse, ErrorClass, SourceSpec,
 };
+use gpgpu_ast::Kernel;
 use gpgpu_core::{
-    compile, CachedArtifact, CompileError, CompileOptions, FusionMeta, Json, MetricsRegistry,
-    Profiler, SpanId, TraceEvent, TuningStore,
+    CachedArtifact, CompileError, CompileOptions, Json, MetricsRegistry, Profiler, SpanId,
+    TraceEvent, TuningStore,
 };
-use gpgpu_fusion::{compile_fused, FusionError};
+use gpgpu_fusion::{compile_unit, FusionError, UnitCompile, UnitError};
 use gpgpu_sim::{CostModelKind, MachineDesc};
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -163,6 +164,35 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 /// — such a request must be refused at admission, never dispatched.
 pub(crate) fn deadline_expired(limit_ms: u64, waited_ms: u64) -> bool {
     limit_ms == 0 || waited_ms > limit_ms
+}
+
+/// Parses the request's compile unit — one kernel, or a `fuse` pair in
+/// producer→consumer order. The error is the class and detail of the
+/// first member that is unresolved or does not parse.
+fn parse_unit(req: &CompileRequest) -> Result<Vec<Kernel>, (ErrorClass, String)> {
+    let (specs, fused) = (req.unit_specs(), req.fuse.is_some());
+    if fused && specs.len() != 2 {
+        let detail = "`fuse` must list exactly two kernels".to_string();
+        return Err((ErrorClass::BadRequest, detail));
+    }
+    let mut unit = Vec::with_capacity(specs.len());
+    for (spec, role) in specs.iter().zip(["producer", "consumer"]) {
+        let Some(text) = spec.text() else {
+            let detail = match spec {
+                SourceSpec::File(path) if fused => {
+                    format!("fuse member `{path}` is an unresolved file")
+                }
+                _ => "request still points at an unresolved file".to_string(),
+            };
+            return Err((ErrorClass::BadRequest, detail));
+        };
+        let parsed = gpgpu_ast::parse_kernel(text).map_err(|e| match fused {
+            true => (ErrorClass::Parse, format!("fuse {role}: {e}")),
+            false => (ErrorClass::Parse, e.to_string()),
+        });
+        unit.push(parsed?);
+    }
+    Ok(unit)
 }
 
 impl Engine {
@@ -414,28 +444,36 @@ impl Engine {
     /// response, never a crash.
     pub fn handle_line(&self, line: &str, position: usize) -> CompileResponse {
         let started = Instant::now();
+        let bad_request = |id: String, detail: String| {
+            let resp = CompileResponse::failure(id, ErrorClass::BadRequest, detail);
+            self.book_external(&resp, started);
+            resp
+        };
         let mut req = match CompileRequest::parse(line, position) {
             Ok(req) => req,
-            Err(detail) => {
-                let resp = CompileResponse::failure(
-                    position.to_string(),
-                    ErrorClass::BadRequest,
-                    detail,
-                );
-                self.finish(&resp, "?", started, None);
-                return resp;
-            }
+            Err(detail) => return bad_request(position.to_string(), detail),
         };
-        if let Err(detail) = req.resolve_file() {
-            let resp = CompileResponse::failure(req.id, ErrorClass::BadRequest, detail);
-            self.finish(&resp, "?", started, None);
-            return resp;
+        match req.resolve_file() {
+            Ok(()) => self.handle(req, started),
+            Err(detail) => bad_request(req.id, detail),
         }
-        self.handle(req, started)
     }
 
-    /// Serves one parsed request. `started` is when the request entered
-    /// the system (enqueue time for batches), so deadlines cover queueing.
+    /// Serves one parsed request — the only request path. `started` is
+    /// when the request entered the system (enqueue time for batches), so
+    /// deadlines cover queueing.
+    ///
+    /// A request names one **compile unit**: a kernel (`source`) or an
+    /// ordered producer→consumer pair (`fuse`). Every unit takes the same
+    /// steps: fingerprint, cache probe, stampede slot, re-probe, deadline
+    /// pre-emption, contained [`compile_unit`], store. A pair the fusion
+    /// planner refuses still answers ok — its members compiled separately
+    /// into one `separate:<slug>` artifact under the pair's fingerprint.
+    ///
+    /// The stampede guard's contract: of N identical requests in flight
+    /// at once, exactly one answers `cache: "miss"` (it compiled); the
+    /// rest wait for it and answer `"memory"` (or `"disk"`), all carrying
+    /// the same artifact. *Which* of them misses is a race, not an order.
     pub fn handle(&self, req: CompileRequest, started: Instant) -> CompileResponse {
         // Book the time between enqueue and this worker picking the
         // request up — the queue-wait stage.
@@ -448,59 +486,50 @@ impl Engine {
         );
         let req_span = self.profiler.span("request", "service");
         let parent = Some(req_span.id());
+        // Every exit books its response the same way; `unit` is `"?"`
+        // until the request's kernels have parsed.
+        let fail = |unit: &str, class: ErrorClass, detail: String| {
+            let resp = CompileResponse::failure(req.id.clone(), class, detail);
+            self.finish(&resp, unit, started, parent);
+            resp
+        };
+        let deliver = |unit: &str, artifact: CachedArtifact, cache: CacheDisposition| {
+            let resp = CompileResponse {
+                id: req.id.clone(),
+                artifact: Some(artifact),
+                error: None,
+                cache,
+                micros: started.elapsed().as_micros() as u64,
+            };
+            self.finish(&resp, unit, started, parent);
+            resp
+        };
         let deadline_ms = req.deadline_ms.or(self.config.default_deadline_ms);
-        if let Some(limit) = deadline_ms {
+        // The `deadline` detail when the budget is spent, `doing` what.
+        let expired = |doing: &str| {
+            let limit = deadline_ms?;
             let waited = started.elapsed().as_millis() as u64;
-            if deadline_expired(limit, waited) {
-                let resp = CompileResponse::failure(
-                    req.id,
-                    ErrorClass::Deadline,
-                    format!("deadline of {limit} ms elapsed after {waited} ms in queue"),
-                );
-                self.finish(&resp, "?", started, parent);
-                return resp;
-            }
-        }
-        let Some(source) = req.source_text() else {
-            let resp = CompileResponse::failure(
-                req.id,
-                ErrorClass::BadRequest,
-                "request still points at an unresolved file",
-            );
-            self.finish(&resp, "?", started, parent);
-            return resp;
+            deadline_expired(limit, waited)
+                .then(|| format!("deadline of {limit} ms elapsed after {waited} ms {doing}"))
         };
+        if let Some(detail) = expired("in queue") {
+            return fail("?", ErrorClass::Deadline, detail);
+        }
         let Some(machine) = MachineDesc::by_name(&req.machine) else {
-            let resp = CompileResponse::failure(
-                req.id,
-                ErrorClass::BadRequest,
-                format!(
-                    "unknown machine `{}` (known: {})",
-                    req.machine,
-                    MachineDesc::KNOWN_NAMES.join(", ")
-                ),
-            );
-            self.finish(&resp, "?", started, parent);
-            return resp;
+            let (name, known) = (&req.machine, MachineDesc::KNOWN_NAMES.join(", "));
+            let detail = format!("unknown machine `{name}` (known: {known})");
+            return fail("?", ErrorClass::BadRequest, detail);
         };
-        if req.fuse.is_some() {
-            return self.handle_fuse(req, machine, started, parent);
-        }
-        let kernel = match gpgpu_ast::parse_kernel(source) {
-            Ok(k) => k,
-            Err(e) => {
-                let resp =
-                    CompileResponse::failure(req.id, ErrorClass::Parse, e.to_string());
-                self.finish(&resp, "?", started, parent);
-                return resp;
-            }
+        let unit = match parse_unit(&req) {
+            Ok(unit) => unit,
+            Err((class, detail)) => return fail("?", class, detail),
         };
-        let kernel_name = kernel.name.clone();
+        // `mv`, or `scale+add` for a pair.
+        let unit_name = unit.iter().map(|k| k.name.as_str()).collect::<Vec<_>>().join("+");
         let mut opts = CompileOptions::new(machine)
             .with_stages(req.stages)
             .with_verify_seed(req.verify_seed)
             .with_cost_model(self.config.cost_model)
-            .with_source(source)
             .with_profiler(self.profiler.clone());
         for (name, value) in &req.bindings {
             opts = opts.bind(name, *value);
@@ -511,50 +540,27 @@ impl Engine {
                 .with_warm_start(self.config.warm_start);
         }
 
-        // Cache probe.
+        // Cache probe. A pair is content-addressed by its ordered member
+        // fingerprints (see `CompileOptions::fused_fingerprint`).
         let probe_span = self.profiler.span_under(parent, "cache-probe", "service");
         let probe_started = Instant::now();
-        let fingerprint = opts.fingerprint(&kernel);
-        let probe = lock(&self.cache).get(&fingerprint);
+        let fingerprint = match unit.as_slice() {
+            [producer, consumer] => opts.fused_fingerprint(producer, consumer),
+            kernels => opts.fingerprint(&kernels[0]),
+        };
+        let probe = self.probe(&fingerprint, None);
         drop(probe_span);
         self.record_duration(
             "service_stage_cache_probe",
             probe_started.elapsed().as_micros() as u64,
         );
-        if let Some(err) = &probe.disk_error {
-            self.note_disk_error(&fingerprint, err);
-        }
-        let disposition = match probe.outcome {
-            CacheOutcome::MemoryHit => CacheDisposition::Memory,
-            CacheOutcome::DiskHit => CacheDisposition::Disk,
-            CacheOutcome::Miss => CacheDisposition::Miss,
-        };
-        {
-            let op = match probe.outcome {
-                CacheOutcome::MemoryHit => "hit",
-                CacheOutcome::DiskHit => "disk-hit",
-                CacheOutcome::Miss => "miss",
-            };
-            self.emit(TraceEvent::ServiceCache {
-                op,
-                fingerprint: fingerprint.clone(),
-            });
-        }
-        if let Some(artifact) = probe.artifact {
-            let resp = CompileResponse {
-                id: req.id,
-                artifact: Some(artifact),
-                error: None,
-                cache: disposition,
-                micros: started.elapsed().as_micros() as u64,
-            };
-            self.finish(&resp, &kernel_name, started, parent);
-            return resp;
+        if let Some((artifact, cache)) = probe {
+            return deliver(&unit_name, artifact, cache);
         }
 
         // Cache-stampede guard: when an identical request is already
         // compiling on another worker, wait for it instead of compiling
-        // the same kernel twice, then take the cache hit it stored. The
+        // the same unit twice, then take the cache hit it stored. The
         // slot is released on every exit path (Drop), so even an error
         // response wakes the waiters — they re-probe, miss, and the next
         // one becomes the new winner.
@@ -565,21 +571,9 @@ impl Engine {
                     inflight.insert(fingerprint.clone());
                     break;
                 }
-                if let Some(limit) = deadline_ms {
-                    let waited = started.elapsed().as_millis() as u64;
-                    if deadline_expired(limit, waited) {
-                        drop(inflight);
-                        let resp = CompileResponse::failure(
-                            req.id,
-                            ErrorClass::Deadline,
-                            format!(
-                                "deadline of {limit} ms elapsed after {waited} ms \
-                                 waiting on an in-flight duplicate compile"
-                            ),
-                        );
-                        self.finish(&resp, &kernel_name, started, parent);
-                        return resp;
-                    }
+                if let Some(detail) = expired("waiting on an in-flight duplicate compile") {
+                    drop(inflight);
+                    return fail(&unit_name, ErrorClass::Deadline, detail);
                 }
                 let (guard, _) = self
                     .inflight_cv
@@ -596,31 +590,8 @@ impl Engine {
         // artifact is in the cache; even without waiting, a winner may
         // have stored and released between our first probe and the slot
         // acquisition. Either way the hit is taken, not recompiled.
-        {
-            let reprobe = lock(&self.cache).get(&fingerprint);
-            if let Some(err) = &reprobe.disk_error {
-                self.note_disk_error(&fingerprint, err);
-            }
-            if let Some(artifact) = reprobe.artifact {
-                let disposition = match reprobe.outcome {
-                    CacheOutcome::MemoryHit => CacheDisposition::Memory,
-                    CacheOutcome::DiskHit => CacheDisposition::Disk,
-                    CacheOutcome::Miss => CacheDisposition::Miss,
-                };
-                self.emit(TraceEvent::ServiceCache {
-                    op: "coalesced",
-                    fingerprint: fingerprint.clone(),
-                });
-                let resp = CompileResponse {
-                    id: req.id,
-                    artifact: Some(artifact),
-                    error: None,
-                    cache: disposition,
-                    micros: started.elapsed().as_micros() as u64,
-                };
-                self.finish(&resp, &kernel_name, started, parent);
-                return resp;
-            }
+        if let Some((artifact, cache)) = self.probe(&fingerprint, Some("coalesced")) {
+            return deliver(&unit_name, artifact, cache);
         }
 
         // Deadline-aware scheduling: if what's left of the deadline is
@@ -633,18 +604,13 @@ impl Engine {
             if let Some(p50_us) = self.compile_p50_estimate_us() {
                 if remaining_us < p50_us {
                     lock(&self.counters).deadline_preempted += 1;
-                    let resp = CompileResponse::failure(
-                        req.id,
-                        ErrorClass::Deadline,
-                        format!(
-                            "remaining deadline {} ms is below the p50 compile \
-                             estimate of {} ms; not compiling",
-                            remaining_us / 1000,
-                            p50_us / 1000
-                        ),
+                    let detail = format!(
+                        "remaining deadline {} ms is below the p50 compile \
+                         estimate of {} ms; not compiling",
+                        remaining_us / 1000,
+                        p50_us / 1000
                     );
-                    self.finish(&resp, &kernel_name, started, parent);
-                    return resp;
+                    return fail(&unit_name, ErrorClass::Deadline, detail);
                 }
             }
         }
@@ -659,432 +625,161 @@ impl Engine {
         }
 
         // Cold compile, contained: a panic here — including the injected
-        // per-request `service-<kernel>` fault site — poisons only this
+        // per-request `service-<unit>` fault site — poisons only this
         // request. The stage span is opened before the `catch_unwind` so
         // an unwinding fault still closes it (guard drop), and the
         // compiler's own spans nest under it because `opts` shares the
-        // engine's profiler.
+        // engine's profiler. Source spans only matter to a compile, so
+        // the hit path above never builds them.
+        if unit.len() == 2 {
+            lock(&self.counters).fusion_planned += 1;
+        }
+        let source: Vec<&str> = req.unit_specs().iter().filter_map(SourceSpec::text).collect();
         let compile_span = self.profiler.span_under(parent, "compile", "service");
-        let opts = opts.under_span(compile_span.id());
+        let opts = opts
+            .with_source(&source.join("\n"))
+            .under_span(compile_span.id());
         let compile_started = Instant::now();
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            gpgpu_core::fault::maybe_panic(&format!("service-{kernel_name}"));
-            compile(&kernel, &opts)
+            gpgpu_core::fault::maybe_panic(&format!("service-{unit_name}"));
+            compile_unit(&unit, &opts)
         }));
         drop(compile_span);
         self.record_duration(
             "service_stage_compile",
             compile_started.elapsed().as_micros() as u64,
         );
-        let resp = match attempt {
-            Err(payload) => CompileResponse::failure(
-                req.id,
-                ErrorClass::Internal,
-                gpgpu_core::error::panic_message(payload),
-            ),
-            Ok(Err(e)) => {
-                let class = match e {
-                    CompileError::Internal(_) => ErrorClass::Internal,
-                    _ => ErrorClass::Compile,
+        let outcome = match attempt {
+            Ok(outcome) => outcome,
+            Err(payload) => {
+                let detail = gpgpu_core::error::panic_message(payload);
+                return fail(&unit_name, ErrorClass::Internal, detail);
+            }
+        };
+        // What the fusion planner decided for a pair. A refusal is booked
+        // whether or not the members then compiled.
+        match &outcome {
+            Ok(UnitCompile::Fused(_)) => lock(&self.counters).fusion_fused += 1,
+            Ok(UnitCompile::Separate { rejection, .. })
+            | Err(UnitError::Member { rejection, .. }) => self.book_rejection(&unit, rejection),
+            _ => {}
+        }
+        let compiled = match outcome {
+            Ok(compiled) => compiled,
+            Err(e) => {
+                let class = match e.compile_error() {
+                    Some(CompileError::Internal(_)) | None => ErrorClass::Internal,
+                    Some(_) => ErrorClass::Compile,
                 };
-                CompileResponse::failure(req.id, class, e.to_string())
+                return fail(&unit_name, class, e.to_string());
             }
-            Ok(Ok(compiled)) => {
-                // Surface the compile's tuning-store events (degradation,
-                // self-heals, failed durable writes) in the service event
-                // stream and the write-error counter, so a dying disk under
-                // the store shows up in `--report` and `{"stats": true}`
-                // instead of disappearing into one request's trace.
-                for event in compiled.trace.events() {
-                    match event {
-                        TraceEvent::StoreDegraded { .. } => self.emit(event.clone()),
-                        TraceEvent::StoreWriteError { .. } => {
-                            lock(&self.counters).store_write_errors += 1;
-                            self.emit(event.clone());
-                        }
-                        _ => {}
+        };
+        for part in compiled.parts() {
+            // Surface the fusion driver's rationale event and the compile's
+            // tuning-store events (degradation, self-heals, failed durable
+            // writes) in the service event stream and the write-error
+            // counter, so a dying disk under the store shows up in
+            // `--report` and `{"stats": true}` instead of disappearing
+            // into one request's trace.
+            for event in part.trace.events() {
+                match event {
+                    TraceEvent::Fusion { .. } | TraceEvent::StoreDegraded { .. } => {
+                        self.emit(event.clone())
                     }
-                }
-                // Under the hierarchy cost model, fold the winner's
-                // per-level memory counters into live histograms — the
-                // `{"stats": true}` snapshot's `hierarchy` section.
-                if let Some(h) = &compiled.estimate.hierarchy {
-                    let mut hists = lock(&self.hists);
-                    for (name, value) in [
-                        ("service_hierarchy_l1_hits", h.l1_hits),
-                        ("service_hierarchy_l2_hits", h.l2_hits),
-                        ("service_hierarchy_mshr_merges", h.mshr_merges),
-                        (
-                            "service_hierarchy_partition_queue_peak",
-                            h.partition_queue_peak,
-                        ),
-                    ] {
-                        hists.record_duration(name, value);
-                    }
-                }
-                let artifact = compiled.cache_artifact(&fingerprint);
-                // Degraded results are transient (a fault's fallback); only
-                // fully optimized artifacts are worth pinning.
-                if compiled.degraded.is_none() {
-                    let (evicted, disk_error) = lock(&self.cache).put(&artifact);
-                    self.emit(TraceEvent::ServiceCache {
-                        op: "store",
-                        fingerprint: fingerprint.clone(),
-                    });
-                    if self.has_disk() {
-                        self.emit(TraceEvent::ServiceCache {
-                            op: "disk-store",
-                            fingerprint: fingerprint.clone(),
-                        });
-                    }
-                    if let Some(victim) = evicted {
-                        lock(&self.counters).evictions += 1;
-                        self.emit(TraceEvent::ServiceCache {
-                            op: "evict",
-                            fingerprint: victim,
-                        });
-                    }
-                    if let Some(err) = disk_error {
-                        // A failed persist is a miss that silently costs
-                        // every future request a recompile: count it and
-                        // name it, don't just log the disk fault.
+                    TraceEvent::StoreWriteError { .. } => {
                         lock(&self.counters).store_write_errors += 1;
-                        self.emit(TraceEvent::StoreWriteError {
-                            store: "cache",
-                            detail: format!("{fingerprint}: {}", err.detail),
-                        });
-                        self.note_disk_error(&fingerprint, &err);
+                        self.emit(event.clone());
                     }
-                }
-                CompileResponse {
-                    id: req.id,
-                    artifact: Some(artifact),
-                    error: None,
-                    cache: CacheDisposition::Miss,
-                    micros: 0,
+                    _ => {}
                 }
             }
-        };
-        let resp = CompileResponse {
-            micros: started.elapsed().as_micros() as u64,
-            ..resp
-        };
-        self.finish(&resp, &kernel_name, started, parent);
-        resp
-    }
-
-    /// Serves one fusion-group request (`"fuse": [producer, consumer]`).
-    ///
-    /// The group is planned before dispatch: when legal and profitable the
-    /// fused kernel runs the full pipeline and is differentially verified
-    /// against the sequential reference; any structured rejection —
-    /// planner refusal, fused-compile failure, or verification failure —
-    /// degrades to separate member compiles returned as *one* artifact
-    /// with the launches concatenated, never an error. Fused artifacts
-    /// cache under their own fingerprint (ordered member fingerprints +
-    /// fusion marker), so a repeat group is a hit either way.
-    fn handle_fuse(
-        &self,
-        req: CompileRequest,
-        machine: MachineDesc,
-        started: Instant,
-        parent: Option<SpanId>,
-    ) -> CompileResponse {
-        let mut sources = Vec::new();
-        for member in req.fuse.as_deref().unwrap_or_default() {
-            match member {
-                SourceSpec::Inline(text) => sources.push(text.clone()),
-                SourceSpec::File(path) => {
-                    let resp = CompileResponse::failure(
-                        req.id,
-                        ErrorClass::BadRequest,
-                        format!("fuse member `{path}` is an unresolved file"),
-                    );
-                    self.finish(&resp, "?", started, parent);
-                    return resp;
+            // Under the hierarchy cost model, fold the winner's per-level
+            // memory counters into live histograms — the `{"stats": true}`
+            // snapshot's `hierarchy` section.
+            if let Some(h) = &part.estimate.hierarchy {
+                let mut hists = lock(&self.hists);
+                for (name, value) in [
+                    ("service_hierarchy_l1_hits", h.l1_hits),
+                    ("service_hierarchy_l2_hits", h.l2_hits),
+                    ("service_hierarchy_mshr_merges", h.mshr_merges),
+                    (
+                        "service_hierarchy_partition_queue_peak",
+                        h.partition_queue_peak,
+                    ),
+                ] {
+                    hists.record_duration(name, value);
                 }
             }
         }
-        let [p_src, c_src] = sources.as_slice() else {
-            let resp = CompileResponse::failure(
-                req.id,
-                ErrorClass::BadRequest,
-                "`fuse` must list exactly two kernels",
-            );
-            self.finish(&resp, "?", started, parent);
-            return resp;
-        };
-        let (producer, consumer) = match (
-            gpgpu_ast::parse_kernel(p_src),
-            gpgpu_ast::parse_kernel(c_src),
-        ) {
-            (Ok(p), Ok(c)) => (p, c),
-            (Err(e), _) => {
-                let resp = CompileResponse::failure(
-                    req.id,
-                    ErrorClass::Parse,
-                    format!("fuse producer: {e}"),
-                );
-                self.finish(&resp, "?", started, parent);
-                return resp;
-            }
-            (_, Err(e)) => {
-                let resp = CompileResponse::failure(
-                    req.id,
-                    ErrorClass::Parse,
-                    format!("fuse consumer: {e}"),
-                );
-                self.finish(&resp, "?", started, parent);
-                return resp;
-            }
-        };
-        let group = format!("{}+{}", producer.name, consumer.name);
-        let combined_source = format!("{p_src}\n{c_src}");
-        let mut opts = CompileOptions::new(machine)
-            .with_stages(req.stages)
-            .with_verify_seed(req.verify_seed)
-            .with_cost_model(self.config.cost_model)
-            .with_source(&combined_source)
-            .with_profiler(self.profiler.clone());
-        for (name, value) in &req.bindings {
-            opts = opts.bind(name, *value);
-        }
-        if let Some(store) = &self.tuning {
-            opts = opts
-                .with_tuning(Arc::clone(store))
-                .with_warm_start(self.config.warm_start);
-        }
-
-        // Fused artifacts are content-addressed by the ordered member
-        // fingerprints (see `CompileOptions::fused_fingerprint`).
-        let fingerprint = opts.fused_fingerprint(&producer, &consumer);
-        let probe = lock(&self.cache).get(&fingerprint);
-        if let Some(err) = &probe.disk_error {
-            self.note_disk_error(&fingerprint, err);
-        }
-        self.emit(TraceEvent::ServiceCache {
-            op: match probe.outcome {
-                CacheOutcome::MemoryHit => "hit",
-                CacheOutcome::DiskHit => "disk-hit",
-                CacheOutcome::Miss => "miss",
-            },
-            fingerprint: fingerprint.clone(),
-        });
-        if let Some(artifact) = probe.artifact {
-            let disposition = match probe.outcome {
-                CacheOutcome::MemoryHit => CacheDisposition::Memory,
-                CacheOutcome::DiskHit => CacheDisposition::Disk,
-                CacheOutcome::Miss => CacheDisposition::Miss,
-            };
-            let resp = CompileResponse {
-                id: req.id,
-                artifact: Some(artifact),
-                error: None,
-                cache: disposition,
-                micros: started.elapsed().as_micros() as u64,
-            };
-            self.finish(&resp, &group, started, parent);
-            return resp;
-        }
-
-        // Same mid-batch refresh as the single-kernel path: the fused
-        // kernel's tuning lookup (keyed by its combined shape) should see
-        // what a sibling writer shard has recorded.
-        if let Some(store) = &self.tuning {
-            store.refresh();
-        }
-
-        lock(&self.counters).fusion_planned += 1;
-        let compile_span = self.profiler.span_under(parent, "compile", "service");
-        let opts = opts.under_span(compile_span.id());
-        let compile_started = Instant::now();
-        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            gpgpu_core::fault::maybe_panic(&format!("service-{group}"));
-            compile_fused(&producer, &consumer, &opts)
-        }));
-        let resp = match attempt {
-            Err(payload) => CompileResponse::failure(
-                req.id,
-                ErrorClass::Internal,
-                gpgpu_core::error::panic_message(payload),
-            ),
-            Ok(Ok(fused)) => {
-                lock(&self.counters).fusion_fused += 1;
-                for event in fused.compiled.trace.events() {
-                    match event {
-                        TraceEvent::StoreDegraded { .. } => self.emit(event.clone()),
-                        TraceEvent::StoreWriteError { .. } => {
-                            lock(&self.counters).store_write_errors += 1;
-                            self.emit(event.clone());
-                        }
-                        _ => {}
-                    }
-                }
-                self.emit(TraceEvent::Fusion {
-                    producer: fused.producer.clone(),
-                    consumer: fused.consumer.clone(),
-                    kernel: fused.kernel.clone(),
-                    mode: fused.mode.as_str().to_string(),
-                    intermediate: fused.intermediate.clone(),
-                    bytes_saved: fused.bytes_saved,
-                    members_time_ms: fused.members_time_ms,
-                    fused_time_ms: fused.fused_time_ms,
-                });
-                let mut artifact = fused.compiled.cache_artifact(&fingerprint);
-                artifact.fusion = Some(FusionMeta {
-                    mode: fused.mode.as_str().to_string(),
-                    members: vec![fused.producer.clone(), fused.consumer.clone()],
-                    intermediate: fused.intermediate.clone(),
-                    bytes_saved: fused.bytes_saved as f64,
-                });
-                if fused.compiled.degraded.is_none() {
-                    self.persist(&artifact, &fingerprint);
-                }
-                CompileResponse {
-                    id: req.id,
-                    artifact: Some(artifact),
-                    error: None,
-                    cache: CacheDisposition::Miss,
-                    micros: 0,
-                }
-            }
-            Ok(Err(err)) => {
-                // Structured degradation: separate member compiles, one
-                // combined artifact. A fusion rejection is never an error.
-                {
-                    let mut c = lock(&self.counters);
-                    c.fusion_rejected += 1;
-                    if matches!(err, FusionError::Verify(_)) {
-                        c.fusion_verify_failures += 1;
-                    }
-                }
-                self.emit(TraceEvent::FusionRejected {
-                    producer: producer.name.clone(),
-                    consumer: consumer.name.clone(),
-                    reason: err.slug(),
-                    detail: err.detail(),
-                });
-                self.compile_members_separately(
-                    req.id,
-                    &producer,
-                    &consumer,
-                    &opts,
-                    &fingerprint,
-                    &err,
-                )
-            }
-        };
-        drop(compile_span);
-        self.record_duration(
-            "service_stage_compile",
-            compile_started.elapsed().as_micros() as u64,
-        );
-        let resp = CompileResponse {
-            micros: started.elapsed().as_micros() as u64,
-            ..resp
-        };
-        self.finish(&resp, &group, started, parent);
-        resp
-    }
-
-    /// The fusion fallback: each member compiles on its own (full
-    /// pipeline, oracle, tuning), and the launch sequences concatenate
-    /// into one artifact under the group's fingerprint — callers observe
-    /// the same artifact shape either way, launches just number two.
-    fn compile_members_separately(
-        &self,
-        id: String,
-        producer: &gpgpu_ast::Kernel,
-        consumer: &gpgpu_ast::Kernel,
-        opts: &CompileOptions,
-        fingerprint: &str,
-        rejection: &FusionError,
-    ) -> CompileResponse {
-        let mut compiled = Vec::new();
-        for member in [producer, consumer] {
-            let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                compile(member, opts)
-            }));
-            match attempt {
-                Err(payload) => {
-                    return CompileResponse::failure(
-                        id,
-                        ErrorClass::Internal,
-                        gpgpu_core::error::panic_message(payload),
-                    )
-                }
-                Ok(Err(e)) => {
-                    let class = match e {
-                        CompileError::Internal(_) => ErrorClass::Internal,
-                        _ => ErrorClass::Compile,
-                    };
-                    return CompileResponse::failure(
-                        id,
-                        class,
-                        format!("fuse member `{}`: {e}", member.name),
-                    );
-                }
-                Ok(Ok(c)) => compiled.push(c.cache_artifact(fingerprint)),
-            }
-        }
-        let Some(second) = compiled.pop() else {
-            return CompileResponse::failure(id, ErrorClass::Internal, "no members compiled");
-        };
-        let Some(first) = compiled.pop() else {
-            return CompileResponse::failure(id, ErrorClass::Internal, "no members compiled");
-        };
-        let time_ms = first.time_ms + second.time_ms;
-        let weight = |va: f64, vb: f64| {
-            if time_ms > 0.0 {
-                (va * first.time_ms + vb * second.time_ms) / time_ms
-            } else {
-                0.0
-            }
-        };
-        let artifact = CachedArtifact {
-            fingerprint: fingerprint.to_string(),
-            kernel_name: format!("{}+{}", producer.name, consumer.name),
-            source: format!("{}\n\n{}", first.source, second.source),
-            launches: first
-                .launches
-                .into_iter()
-                .chain(second.launches)
-                .collect(),
-            time_ms,
-            gflops: weight(first.gflops, second.gflops),
-            bandwidth_gbps: weight(first.bandwidth_gbps, second.bandwidth_gbps),
-            degraded: first.degraded.clone().or(second.degraded.clone()),
-            fusion: Some(FusionMeta {
-                mode: format!("separate:{}", rejection.slug()),
-                members: vec![producer.name.clone(), consumer.name.clone()],
-                intermediate: String::new(),
-                bytes_saved: 0.0,
-            }),
-        };
+        let artifact = compiled.cache_artifact(&fingerprint);
+        // Degraded results are transient (a fault's fallback); only fully
+        // optimized artifacts are worth pinning.
         if artifact.degraded.is_none() {
-            self.persist(&artifact, fingerprint);
+            self.persist(&artifact);
         }
-        CompileResponse {
-            id,
-            artifact: Some(artifact),
-            error: None,
-            cache: CacheDisposition::Miss,
-            micros: 0,
+        deliver(&unit_name, artifact, CacheDisposition::Miss)
+    }
+
+    /// Probes the cache for `fingerprint`, booking any soft disk fault and
+    /// a `service-cache` event: `op` when given (emitted only on a hit —
+    /// the stampede re-probe), else `hit` / `disk-hit` / `miss`. The one
+    /// place a [`CacheOutcome`] becomes a [`CacheDisposition`].
+    fn probe(
+        &self,
+        fingerprint: &str,
+        op: Option<&'static str>,
+    ) -> Option<(CachedArtifact, CacheDisposition)> {
+        let probe = lock(&self.cache).get(fingerprint);
+        if let Some(err) = &probe.disk_error {
+            self.note_disk_error(fingerprint, err);
+        }
+        let (disposition, outcome_op) = match probe.outcome {
+            CacheOutcome::MemoryHit => (CacheDisposition::Memory, "hit"),
+            CacheOutcome::DiskHit => (CacheDisposition::Disk, "disk-hit"),
+            CacheOutcome::Miss => (CacheDisposition::Miss, "miss"),
+        };
+        if op.is_none() || probe.artifact.is_some() {
+            self.emit(TraceEvent::ServiceCache {
+                op: op.unwrap_or(outcome_op),
+                fingerprint: fingerprint.to_string(),
+            });
+        }
+        probe.artifact.map(|artifact| (artifact, disposition))
+    }
+
+    /// Books a refused pair: the counters and the `fusion-rejected` event.
+    fn book_rejection(&self, unit: &[Kernel], rejection: &FusionError) {
+        {
+            let mut c = lock(&self.counters);
+            c.fusion_rejected += 1;
+            // The verifier refusing a fused kernel is a compiler bug worth
+            // alarming on, not a routine refusal.
+            if matches!(rejection, FusionError::Verify(_)) {
+                c.fusion_verify_failures += 1;
+            }
+        }
+        if let [producer, consumer] = unit {
+            self.emit(TraceEvent::FusionRejected {
+                producer: producer.name.clone(),
+                consumer: consumer.name.clone(),
+                reason: rejection.slug(),
+                detail: rejection.detail(),
+            });
         }
     }
 
-    /// Stores an artifact in the cache, booking evictions and disk faults
-    /// the same way the single-kernel path does.
-    fn persist(&self, artifact: &CachedArtifact, fingerprint: &str) {
+    /// Stores an artifact in the cache, booking evictions and disk faults.
+    fn persist(&self, artifact: &CachedArtifact) {
+        let fingerprint = &artifact.fingerprint;
         let (evicted, disk_error) = lock(&self.cache).put(artifact);
         self.emit(TraceEvent::ServiceCache {
             op: "store",
-            fingerprint: fingerprint.to_string(),
+            fingerprint: fingerprint.clone(),
         });
         if self.has_disk() {
             self.emit(TraceEvent::ServiceCache {
                 op: "disk-store",
-                fingerprint: fingerprint.to_string(),
+                fingerprint: fingerprint.clone(),
             });
         }
         if let Some(victim) = evicted {
@@ -1095,6 +790,9 @@ impl Engine {
             });
         }
         if let Some(err) = disk_error {
+            // A failed persist is a miss that silently costs every future
+            // request a recompile: count it and name it, don't just log
+            // the disk fault.
             lock(&self.counters).store_write_errors += 1;
             self.emit(TraceEvent::StoreWriteError {
                 store: "cache",
@@ -1280,48 +978,81 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::CacheDisposition;
-    use std::sync::Arc;
 
     const MV: &str = "__global__ void mv(float a[n][w], float b[w], float c[n], int n, int w) \
                       { float sum = 0.0f; for (int i = 0; i < w; i = i + 1) \
                       { sum += a[idx][i] * b[i]; } c[idx] = sum; }";
 
-    /// The stampede guard: identical requests racing on a cold cache
-    /// compile exactly once — one miss does the work, every other thread
-    /// waits and takes the hit it stored.
+    /// `scale` → `add` as one `fuse` request line.
+    const PAIR: &str = r#"{"fuse": [
+        {"source": "__global__ void scale(float a[n], float t[n], int n) { t[idx] = a[idx] * 2.0f; }"},
+        {"source": "__global__ void add(float t[n], float b[n], float c[n], int n) { c[idx] = t[idx] + b[idx]; }"}],
+        "bindings": {"n": 4096}}"#;
+
+    /// The two kinds of compile unit, as requests: one kernel, one pair.
+    fn units() -> [CompileRequest; 2] {
+        let mut single = CompileRequest::inline("unit", MV);
+        single.bindings = vec![("n".into(), 64), ("w".into(), 64)];
+        let pair = CompileRequest::parse(&PAIR.replace('\n', " "), 0)
+            .unwrap_or_else(|e| panic!("{e}"));
+        [single, pair]
+    }
+
+    fn global(engine: &Engine, name: &str) -> f64 {
+        let doc = engine.metrics().to_json();
+        let value = doc.get("globals").and_then(|g| g.get(name));
+        value.and_then(Json::as_f64).unwrap_or_else(|| panic!("missing global {name}"))
+    }
+
+    /// The stampede guard, for every kind of unit: identical requests
+    /// racing on a cold cache compile exactly once — one miss does the
+    /// work, every other thread waits and takes the hit it stored.
     #[test]
     fn concurrent_identical_requests_compile_once() {
-        let engine = Arc::new(
-            Engine::new(ServiceConfig::default()).unwrap_or_else(|e| panic!("{e}")),
-        );
-        let mut workers = Vec::new();
-        for i in 0..4 {
-            let engine = Arc::clone(&engine);
-            workers.push(std::thread::spawn(move || {
-                let mut req = CompileRequest::inline(&format!("dup-{i}"), MV);
-                req.bindings = vec![("n".into(), 64), ("w".into(), 64)];
-                engine.handle(req, Instant::now())
-            }));
+        for req in units() {
+            let engine = Engine::new(ServiceConfig::default()).unwrap_or_else(|e| panic!("{e}"));
+            let responses: Vec<CompileResponse> = std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..4)
+                    .map(|_| scope.spawn(|| engine.handle(req.clone(), Instant::now())))
+                    .collect();
+                let join = |w: std::thread::ScopedJoinHandle<'_, CompileResponse>| {
+                    w.join().unwrap_or_else(|_| panic!("worker panicked"))
+                };
+                workers.into_iter().map(join).collect()
+            });
+            assert!(responses.iter().all(|r| r.ok()), "{responses:?}");
+            let count = |d| responses.iter().filter(|r| r.cache == d).count();
+            assert_eq!(
+                (count(CacheDisposition::Miss), count(CacheDisposition::Memory)),
+                (1, 3),
+                "{responses:?}"
+            );
+            // And the artifacts are byte-identical across winner and waiters.
+            assert!(responses.iter().all(|r| r.artifact == responses[0].artifact));
+            if req.fuse.is_some() {
+                assert_eq!(global(&engine, "service_fusion_planned"), 1.0);
+            }
         }
-        let responses: Vec<CompileResponse> = workers
-            .into_iter()
-            .map(|w| w.join().unwrap_or_else(|_| panic!("worker panicked")))
-            .collect();
-        assert!(responses.iter().all(|r| r.ok()), "{responses:?}");
-        let misses = responses
-            .iter()
-            .filter(|r| r.cache == CacheDisposition::Miss)
-            .count();
-        let hits = responses
-            .iter()
-            .filter(|r| r.cache == CacheDisposition::Memory)
-            .count();
-        assert_eq!((misses, hits), (1, 3), "{responses:?}");
-        // And the artifacts are byte-identical across winner and waiters.
-        let first = responses[0].artifact.as_ref().map(|a| &a.source);
-        assert!(responses
-            .iter()
-            .all(|r| r.artifact.as_ref().map(|a| &a.source) == first));
+    }
+
+    /// Deadline pre-emption is per unit, not per path: once the engine has
+    /// a p50 compile estimate, a cold request of either kind whose budget
+    /// is below it answers `deadline` without opening a compile span.
+    #[test]
+    fn deadlines_below_the_p50_estimate_preempt_every_unit() {
+        for mut req in units() {
+            let engine = Engine::new(ServiceConfig::default()).unwrap_or_else(|e| panic!("{e}"));
+            for _ in 0..8 {
+                engine.record_duration("service_stage_compile", 4_000_000);
+            }
+            req.deadline_ms = Some(1_000);
+            let resp = engine.handle(req, Instant::now());
+            let class = resp.error.as_ref().map(|e| e.class);
+            assert_eq!(class, Some(ErrorClass::Deadline), "{resp:?}");
+            assert_eq!(global(&engine, "service_deadline_preempted"), 1.0);
+            let spans = engine.profiler().spans();
+            assert!(spans.iter().any(|s| s.name == "cache-probe"));
+            assert!(spans.iter().all(|s| s.name != "compile"), "{spans:?}");
+        }
     }
 }

@@ -93,6 +93,16 @@ pub enum SourceSpec {
     File(String),
 }
 
+impl SourceSpec {
+    /// The inline text; `None` for a file the front end has yet to read.
+    pub(crate) fn text(&self) -> Option<&str> {
+        match self {
+            SourceSpec::Inline(text) => Some(text),
+            SourceSpec::File(_) => None,
+        }
+    }
+}
+
 /// One parsed compile request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompileRequest {
@@ -317,18 +327,11 @@ impl CompileRequest {
     ///
     /// Returns a `bad-request` detail when the file cannot be read.
     pub fn resolve_file(&mut self) -> Result<(), String> {
-        if let SourceSpec::File(path) = &self.source {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read `{path}`: {e}"))?;
-            self.source = SourceSpec::Inline(text);
-        }
-        if let Some(members) = self.fuse.as_mut() {
-            for member in members {
-                if let SourceSpec::File(path) = member {
-                    let text = std::fs::read_to_string(&*path)
-                        .map_err(|e| format!("cannot read `{path}`: {e}"))?;
-                    *member = SourceSpec::Inline(text);
-                }
+        for spec in std::iter::once(&mut self.source).chain(self.fuse.iter_mut().flatten()) {
+            if let SourceSpec::File(path) = spec {
+                let text = std::fs::read_to_string(&*path)
+                    .map_err(|e| format!("cannot read `{path}`: {e}"))?;
+                *spec = SourceSpec::Inline(text);
             }
         }
         Ok(())
@@ -337,10 +340,15 @@ impl CompileRequest {
     /// The inline source text; `None` when the request still points at an
     /// unresolved file.
     pub fn source_text(&self) -> Option<&str> {
-        match &self.source {
-            SourceSpec::Inline(text) => Some(text),
-            SourceSpec::File(_) => None,
-        }
+        self.source.text()
+    }
+
+    /// The request's compile unit as source specs: the `fuse` pair when
+    /// there is one, else the one `source`.
+    pub(crate) fn unit_specs(&self) -> &[SourceSpec] {
+        self.fuse
+            .as_deref()
+            .unwrap_or(std::slice::from_ref(&self.source))
     }
 }
 

@@ -18,11 +18,14 @@
 //!   winner or fail a compile.
 //! - [`fault`] — the `GPGPU_FAULT=io:*` injection sites (short-write,
 //!   enospc, rename, corrupt-read) that make the recovery paths testable
-//!   on every CI run.
+//!   on every CI run, and [`durable`] — the read / write+fsync /
+//!   rename+fsync-dir primitives that carry those sites, shared with the
+//!   service's disk compile cache.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod durable;
 pub mod fault;
 pub mod shape;
 pub mod store;

@@ -32,7 +32,9 @@ use gpgpu_ast::Kernel;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-pub(crate) fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+/// One 64-bit FNV-1a stream step over `bytes`, continuing from `hash` —
+/// the workspace's one FNV (shape and cache fingerprints, record checksums).
+pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= b as u64;
         hash = hash.wrapping_mul(FNV_PRIME);

@@ -28,12 +28,11 @@
 //! answers every lookup with "explore fully" and records why, as a
 //! drainable [`StoreNote`] for the caller's trace.
 
-use crate::fault;
+use crate::durable::{faultable_rename, faultable_write, read_file};
 use crate::shape::{fnv1a, size_distance, KernelShape};
 use gpgpu_trace::Json;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions, TryLockError};
-use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -333,47 +332,6 @@ fn unframe(line: &str) -> Result<&str, String> {
         return Err("checksum mismatch".to_string());
     }
     Ok(payload)
-}
-
-fn read_file(path: &Path) -> std::io::Result<Vec<u8>> {
-    let mut buf = Vec::new();
-    File::open(path)?.read_to_end(&mut buf)?;
-    if fault::io_read_corrupt() && !buf.is_empty() {
-        // Garble the middle of the buffer so checksums fail downstream the
-        // way a real bad sector would.
-        let mid = buf.len() / 2;
-        buf[mid] ^= 0x55;
-    }
-    Ok(buf)
-}
-
-/// Writes `bytes` to `file`, honoring an armed write fault: `short-write`
-/// persists a prefix then fails (leaving a real torn tail), `enospc` fails
-/// before persisting anything.
-fn faultable_write(file: &mut File, bytes: &[u8]) -> std::io::Result<()> {
-    match fault::io_write_fault() {
-        Some(fault::IoWriteFault::ShortWrite) => {
-            let half = bytes.len() / 2;
-            file.write_all(&bytes[..half])?;
-            let _ = file.sync_data();
-            Err(std::io::Error::other("injected short write"))
-        }
-        Some(fault::IoWriteFault::Enospc) => Err(std::io::Error::new(
-            std::io::ErrorKind::StorageFull,
-            "injected ENOSPC",
-        )),
-        None => {
-            file.write_all(bytes)?;
-            file.sync_data()
-        }
-    }
-}
-
-fn faultable_rename(from: &Path, to: &Path) -> std::io::Result<()> {
-    if fault::io_rename_fault() {
-        return Err(std::io::Error::other("injected rename failure"));
-    }
-    std::fs::rename(from, to)
 }
 
 impl Inner {
@@ -722,10 +680,6 @@ impl Inner {
             let _ = std::fs::remove_file(&tmp);
             self.write_error(format!("snapshot-rename: {e}"));
             return;
-        }
-        // Make the rename itself durable.
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
         }
         // A crash here replays journal records the snapshot already holds;
         // `apply_record` skips them by sequence, so this is safe.

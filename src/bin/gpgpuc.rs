@@ -4,9 +4,7 @@
 //! gpgpuc [OPTIONS] <kernel.cu>...    # or `-` for stdin
 //! gpgpuc profile <kernel.cu | -> [--top <n>] [--machine <m>]
 //!                [--bind <name>=<value>]...
-//! gpgpuc fuse <producer.cu> <consumer.cu> [--machine <m>]
-//!             [--bind <name>=<value>]... [--cost-model <m>]
-//!             [--cuda-names] [--report] [--verify-seed <u64>]
+//! gpgpuc fuse [OPTIONS] <producer.cu> <consumer.cu>
 //! gpgpuc validate [--cost-model <analytic|hierarchy>]
 //! gpgpuc fuzz [--seed <u64>] [--iters <n>] [--pairs <n>] [--machine <m>]
 //!             [--inject <slug>] [--trace-json <path>]
@@ -86,8 +84,11 @@
 //! pipeline and is verified element-identical to the sequential two-kernel
 //! reference on the simulator. An illegal or unprofitable pair *degrades*
 //! to two separate compiles with a structured warning, never an error.
-//! `--report` adds a `== fusion ==` block (mode, eliminated intermediate,
-//! bytes saved, member-vs-fused predicted times).
+//! It takes the common OPTIONS of the single-kernel compile (`--machine`,
+//! `--bind`, `--cost-model`, `--no-<stage>`, `--tuning-dir`, …); of the
+//! output-shaping ones only `--cuda-names` and `--report` apply, and
+//! `--report` prints a `== fusion ==` block (mode, eliminated
+//! intermediate, bytes saved, member-vs-fused predicted times).
 //!
 //! `gpgpuc validate` runs the figure-shape validation harness: the mm
 //! design-space ridge of Figure 10, the optimized-beats-naive winner
@@ -194,6 +195,7 @@ use gpgpu::ast::{parse_kernel, print_kernel, PrintOptions};
 use gpgpu::core::{
     compile, verify_equivalence, CompileOptions, CompilerError, StageSet, TuningStore,
 };
+use gpgpu::fusion::{compile_unit, FusionError, UnitCompile, UnitError};
 use gpgpu::service::{
     CompileRequest, CompileResponse, Engine, ErrorClass, ServiceConfig, ShardConfig,
     ShardedEngine, SourceSpec, Submitted,
@@ -251,8 +253,7 @@ fn usage(msg: &str) -> ExitCode {
          [--verify-seed <u64>] [--strict] [--cost-model analytic|hierarchy] \
          [--tuning-dir <dir>] [--no-warm-start] <kernel.cu | ->...\n       \
          gpgpuc profile <kernel.cu | -> [--top <n>] [--machine <m>] [--bind n=1024]...\n       \
-         gpgpuc fuse <producer.cu> <consumer.cu> [--machine <m>] [--bind n=1024]... \
-         [--cost-model analytic|hierarchy] [--cuda-names] [--report] [--verify-seed <u64>]\n       \
+         gpgpuc fuse [OPTIONS] <producer.cu> <consumer.cu>\n       \
          gpgpuc validate [--cost-model analytic|hierarchy]\n       \
          gpgpuc fuzz [--seed <u64>] [--iters <n>] [--pairs <n>] [--machine <m>] [--inject <slug>] [--trace-json <path>]\n       \
          gpgpuc reduce <repro.cu> [--budget <n>]\n       \
@@ -286,7 +287,10 @@ fn resolve_machine(token: &str) -> Result<MachineDesc, String> {
     })
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parses the command line of a plain compile or, with `fuse` set, of
+/// `gpgpuc fuse` — the same options; only the input-count rule differs
+/// (exactly two kernels, and `--report` describes the pair).
+fn parse_args(argv: &[String], fuse: bool) -> Result<Args, String> {
     let mut args = Args {
         inputs: Vec::new(),
         machine: MachineDesc::gtx280(),
@@ -307,7 +311,7 @@ fn parse_args() -> Result<Args, String> {
         tuning_dir: None,
         warm_start: true,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.iter().cloned();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--machine" => {
@@ -371,6 +375,9 @@ fn parse_args() -> Result<Args, String> {
             other => args.inputs.push(other.to_string()),
         }
     }
+    if fuse && args.inputs.len() != 2 {
+        return Err("fuse needs exactly two kernels: <producer.cu> <consumer.cu>".into());
+    }
     if !args.list_passes && args.inputs.is_empty() {
         return Err("no input file".into());
     }
@@ -380,7 +387,7 @@ fn parse_args() -> Result<Args, String> {
     if args.inputs.len() > 1 {
         // Output-shaping flags assume exactly one compilation to describe.
         for (on, flag) in [
-            (args.report, "--report"),
+            (args.report && !fuse, "--report"),
             (args.metrics, "--metrics"),
             (args.trace_json.is_some(), "--trace-json"),
             (args.profile.is_some(), "--profile"),
@@ -394,6 +401,36 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
+}
+
+/// The compile options a command line asks for, with `source` feeding the
+/// access-span table. `--tuning-dir` opens the store here (never fails —
+/// I/O trouble degrades it to full exploration) so the pipeline can
+/// warm-start from it.
+fn compile_options(args: &Args, source: &str) -> CompileOptions {
+    let mut opts = CompileOptions::new(args.machine.clone())
+        .with_stages(args.stages)
+        .with_source(source)
+        .with_verify_seed(args.verify_seed)
+        .with_cost_model(args.cost_model);
+    for (name, value) in &args.bindings {
+        opts = opts.bind(name, *value);
+    }
+    if let Some(dir) = &args.tuning_dir {
+        opts = opts
+            .with_tuning(Arc::new(TuningStore::open(std::path::Path::new(dir))))
+            .with_warm_start(args.warm_start);
+    }
+    opts
+}
+
+/// The exit code of a compilation that failed with no viable fallback.
+fn compile_exit(err: &CompilerError) -> ExitCode {
+    ExitCode::from(if err.is_fault() {
+        EXIT_INTERNAL
+    } else {
+        EXIT_COMPILE
+    })
 }
 
 /// `gpgpuc fuzz`: run the differential fuzzer and summarize buckets.
@@ -717,11 +754,7 @@ fn cmd_profile(argv: &[String]) -> ExitCode {
         Err(e) => {
             let err = CompilerError::from(e);
             report_error(&err);
-            return ExitCode::from(if err.is_fault() {
-                EXIT_INTERNAL
-            } else {
-                EXIT_COMPILE
-            });
+            return compile_exit(&err);
         }
     };
     if let Some(reason) = &compiled.degraded {
@@ -763,164 +796,98 @@ fn print_launches(compiled: &gpgpu::core::CompiledKernel, cuda_names: bool) {
     }
 }
 
-/// `gpgpuc fuse`: compile a producer→consumer pair as one fused kernel.
+/// `gpgpuc fuse`: compile a producer→consumer pair as one compile unit.
 /// Legality and profitability are the planner's call; a rejected pair
 /// degrades to two separate compiles with a structured warning on stderr
 /// and still exits 0 — rejection is an outcome, not an error.
 fn cmd_fuse(argv: &[String]) -> ExitCode {
-    let mut inputs: Vec<String> = Vec::new();
-    let mut machine = MachineDesc::gtx280();
-    let mut bindings: Vec<(String, i64)> = Vec::new();
-    let mut cost_model = CostModelKind::default();
-    let mut verify_seed: u64 = 0;
-    let mut report = false;
-    let mut cuda_names = false;
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--machine" => {
-                let Some(v) = it.next() else {
-                    return usage("--machine needs a value");
-                };
-                match resolve_machine(v) {
-                    Ok(m) => machine = m,
-                    Err(e) => return usage(&e),
-                }
-            }
-            "--bind" => {
-                let Some(v) = it.next() else {
-                    return usage("--bind needs name=value");
-                };
-                let Some((name, value)) = v.split_once('=') else {
-                    return usage(&format!("--bind `{v}` is not name=value"));
-                };
-                match value.parse() {
-                    Ok(n) => bindings.push((name.to_string(), n)),
-                    Err(_) => {
-                        return usage(&format!("--bind value `{value}` is not an integer"))
-                    }
-                }
-            }
-            "--cost-model" => {
-                let Some(v) = it.next() else {
-                    return usage("--cost-model needs a value");
-                };
-                match v.parse() {
-                    Ok(m) => cost_model = m,
-                    Err(e) => return usage(&e),
-                }
-            }
-            "--verify-seed" => {
-                let Some(v) = it.next() else {
-                    return usage("--verify-seed needs a value");
-                };
-                match v.parse() {
-                    Ok(s) => verify_seed = s,
-                    Err(_) => return usage(&format!("--verify-seed `{v}` is not a u64")),
-                }
-            }
-            "--report" => report = true,
-            "--cuda-names" => cuda_names = true,
-            other if !other.starts_with("--") => inputs.push(other.to_string()),
-            other => return usage(&format!("unexpected fuse argument `{other}`")),
-        }
-    }
-    if inputs.len() != 2 {
-        return usage("fuse needs exactly two kernels: <producer.cu> <consumer.cu>");
-    }
-    let mut sources = Vec::new();
-    for path in &inputs {
-        match std::fs::read_to_string(path) {
-            Ok(s) => sources.push(s),
+    let args = match parse_args(argv, true) {
+        Ok(a) => a,
+        Err(e) => return usage(&e),
+    };
+    let (mut sources, mut unit) = (Vec::new(), Vec::new());
+    for path in &args.inputs {
+        let source = match std::fs::read_to_string(path) {
+            Ok(s) => s,
             Err(e) => {
                 eprintln!("gpgpuc: cannot read `{path}`: {e}");
                 return ExitCode::from(EXIT_NOINPUT);
             }
-        }
-    }
-    let mut kernels = Vec::new();
-    for (path, source) in inputs.iter().zip(&sources) {
-        match parse_kernel(source) {
-            Ok(k) => kernels.push(k),
+        };
+        match parse_kernel(&source) {
+            Ok(k) => unit.push(k),
             Err(e) => {
                 eprintln!("gpgpuc: `{path}`:");
                 report_error(&CompilerError::from(e));
                 return ExitCode::from(EXIT_PARSE);
             }
         }
+        sources.push(source);
     }
-    let consumer = kernels.pop().unwrap_or_else(|| unreachable!());
-    let producer = kernels.pop().unwrap_or_else(|| unreachable!());
-    let mut opts = CompileOptions::new(machine.clone())
-        .with_cost_model(cost_model)
-        .with_verify_seed(verify_seed)
-        .with_source(&format!("{}\n\n{}", sources[0], sources[1]));
-    for (name, value) in &bindings {
-        opts = opts.bind(name, *value);
-    }
-    match gpgpu::fusion::compile_fused(&producer, &consumer, &opts) {
-        Ok(fused) => {
-            print_launches(&fused.compiled, cuda_names);
-            if report {
-                eprintln!("== fusion ==");
-                eprintln!(
-                    "  `{}` + `{}` -> `{}` ({} mode)",
-                    fused.producer,
-                    fused.consumer,
-                    fused.kernel,
-                    fused.mode.as_str()
-                );
-                eprintln!(
-                    "  intermediate `{}` eliminated, {} global bytes saved",
-                    fused.intermediate, fused.bytes_saved
-                );
-                eprintln!(
-                    "  predicted: members {:.3} ms -> fused {:.3} ms",
-                    fused.members_time_ms, fused.fused_time_ms
-                );
-                eprintln!("== prediction ({}) ==", machine.name);
-                eprintln!(
-                    "  time {:.3} ms   {:.1} GFLOPS   {:.1} GB/s effective",
-                    fused.compiled.total_time_ms(),
-                    fused.compiled.gflops(),
-                    fused.compiled.effective_bandwidth_gbps()
-                );
+    let warn_rejected = |rejection: &FusionError| {
+        eprintln!(
+            "gpgpuc: warning: fusion rejected ({}): {}; compiling the members \
+             separately",
+            rejection.slug(),
+            rejection.detail()
+        );
+    };
+    let opts = compile_options(&args, &sources.join("\n\n"));
+    let compiled = match compile_unit(&unit, &opts) {
+        Ok(compiled) => compiled,
+        Err(e) => {
+            if let UnitError::Member { rejection, .. } = &e {
+                warn_rejected(rejection);
             }
-            ExitCode::SUCCESS
+            eprintln!("gpgpuc: error: {e}");
+            return match e.compile_error() {
+                Some(error) => compile_exit(&CompilerError::from(error.clone())),
+                None => ExitCode::from(EXIT_USAGE),
+            };
         }
-        Err(err) => {
-            eprintln!(
-                "gpgpuc: warning: fusion rejected ({}): {}; compiling the members \
-                 separately",
-                err.slug(),
-                err.detail()
-            );
-            let mut worst = 0u8;
-            for (kernel, source) in [(&producer, &sources[0]), (&consumer, &sources[1])] {
-                let mut kopts = CompileOptions::new(machine.clone())
-                    .with_cost_model(cost_model)
-                    .with_verify_seed(verify_seed)
-                    .with_source(source);
-                for (name, value) in &bindings {
-                    kopts = kopts.bind(name, *value);
-                }
-                println!("// ==== {} ====", kernel.name);
-                match compile(kernel, &kopts) {
-                    Ok(c) => print_launches(&c, cuda_names),
-                    Err(e) => {
-                        let err = CompilerError::from(e);
-                        report_error(&err);
-                        worst = worst.max(if err.is_fault() {
-                            EXIT_INTERNAL
-                        } else {
-                            EXIT_COMPILE
-                        });
-                    }
-                }
+    };
+    match &compiled {
+        UnitCompile::Separate {
+            names, rejection, ..
+        } => {
+            warn_rejected(rejection);
+            for (name, member) in names.iter().zip(compiled.parts()) {
+                println!("// ==== {name} ====");
+                print_launches(member, args.cuda_names);
             }
-            ExitCode::from(worst)
+        }
+        _ => {
+            for part in compiled.parts() {
+                print_launches(part, args.cuda_names);
+            }
         }
     }
+    if let (UnitCompile::Fused(fused), true) = (&compiled, args.report) {
+        eprintln!("== fusion ==");
+        eprintln!(
+            "  `{}` + `{}` -> `{}` ({} mode)",
+            fused.producer,
+            fused.consumer,
+            fused.kernel,
+            fused.mode.as_str()
+        );
+        eprintln!(
+            "  intermediate `{}` eliminated, {} global bytes saved",
+            fused.intermediate, fused.bytes_saved
+        );
+        eprintln!(
+            "  predicted: members {:.3} ms -> fused {:.3} ms",
+            fused.members_time_ms, fused.fused_time_ms
+        );
+        eprintln!("== prediction ({}) ==", args.machine.name);
+        eprintln!(
+            "  time {:.3} ms   {:.1} GFLOPS   {:.1} GB/s effective",
+            fused.compiled.total_time_ms(),
+            fused.compiled.gflops(),
+            fused.compiled.effective_bandwidth_gbps()
+        );
+    }
+    ExitCode::SUCCESS
 }
 
 /// Options shared by `batch` and `serve`.
@@ -1183,15 +1150,6 @@ fn cmd_batch(argv: &[String]) -> ExitCode {
     ExitCode::from(worst)
 }
 
-/// splitmix64 — the workspace's stock deterministic mixer (cf.
-/// `gpgpu-fuzz`), used here to jitter backoff delays reproducibly.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// The client half of the backoff contract: shed requests are resubmitted
 /// with jittered exponential backoff seeded from the server's
 /// `retry_after_ms` hint — delay = hint × 2^min(attempt, retry) × jitter
@@ -1227,9 +1185,8 @@ fn run_batch_with_backoff(
                         let backoff = hint.saturating_mul(1 << attempt.min(retry).min(10));
                         // Deterministic jitter in [0.5, 1.5): desynchronizes
                         // clients without making runs irreproducible.
-                        let jitter =
-                            0.5 + (splitmix64(idx as u64 * 31 + attempt as u64) % 1000) as f64
-                                / 1000.0;
+                        let mixed = gpgpu::load::splitmix64(idx as u64 * 31 + attempt as u64);
+                        let jitter = 0.5 + (mixed % 1000) as f64 / 1000.0;
                         let delay = ((backoff as f64 * jitter) as u64).clamp(1, 30_000);
                         retries.push((idx, req, attempt.saturating_add(1), delay));
                     } else {
@@ -1666,7 +1623,7 @@ fn main() -> ExitCode {
         Some("validate") => return cmd_validate(&argv[1..]),
         _ => {}
     }
-    let args = match parse_args() {
+    let args = match parse_args(&argv, false) {
         Ok(a) => a,
         Err(e) => return usage(&e),
     };
@@ -1702,35 +1659,13 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut opts = CompileOptions::new(args.machine.clone())
-        .with_stages(args.stages)
-        .with_source(&source)
-        .with_verify_seed(args.verify_seed)
-        .with_cost_model(args.cost_model);
-    for (name, value) in &args.bindings {
-        opts = opts.bind(name, *value);
-    }
-    // --tuning-dir: open (never fails — I/O trouble degrades the store to
-    // full exploration) and let the pipeline warm-start from it.
-    let tuning_store = args
-        .tuning_dir
-        .as_ref()
-        .map(|dir| Arc::new(TuningStore::open(std::path::Path::new(dir))));
-    if let Some(store) = &tuning_store {
-        opts = opts
-            .with_tuning(Arc::clone(store))
-            .with_warm_start(args.warm_start);
-    }
+    let opts = compile_options(&args, &source);
     let compiled = match compile(&naive, &opts) {
         Ok(c) => c,
         Err(e) => {
             let err = CompilerError::from(e);
             report_error(&err);
-            return ExitCode::from(if err.is_fault() {
-                EXIT_INTERNAL
-            } else {
-                EXIT_COMPILE
-            });
+            return compile_exit(&err);
         }
     };
     // Degradation is a warning by default and a failure under --strict; the
@@ -1797,25 +1732,7 @@ fn main() -> ExitCode {
         print!("{}", gpgpu::core::emit_cu(&compiled, &opts.bindings));
         return exit_ok;
     }
-    let popts = if args.cuda_names {
-        PrintOptions::cuda()
-    } else {
-        PrintOptions::default()
-    };
-    for (i, launch) in compiled.launches.iter().enumerate() {
-        if compiled.launches.len() > 1 {
-            println!("// launch {} of {}", i + 1, compiled.launches.len());
-        }
-        println!("// launch configuration: {}", launch.launch);
-        for extra in &launch.extra_buffers {
-            println!(
-                "// requires zero-initialized buffer: {} ({} x {:?})",
-                extra.name, extra.elem, extra.dims
-            );
-        }
-        print!("{}", print_kernel(&launch.kernel, popts));
-        println!();
-    }
+    print_launches(&compiled, args.cuda_names);
 
     if args.report {
         eprintln!("== pass log ==");
@@ -1881,7 +1798,7 @@ fn main() -> ExitCode {
                 if report.warm_started { " (warm-started)" } else { "" },
                 if report.demoted { ", stored winner demoted" } else { "" },
             );
-            if let Some(store) = &tuning_store {
+            if let Some(store) = &opts.tuning {
                 let c = store.counters();
                 eprintln!(
                     "  store: {} warm hit(s), {} neighbor hit(s), {} miss(es), \
@@ -1963,11 +1880,12 @@ fn main() -> ExitCode {
     }
 
     if let Some(size) = args.verify_at {
-        // Bind every size symbol to the (small) verification size.
-        let mut vopts = CompileOptions::new(args.machine.clone())
-            .with_stages(args.stages)
-            .with_verify_seed(args.verify_seed)
-            .with_cost_model(args.cost_model);
+        // Bind every size symbol to the (small) verification size; the
+        // check neither consults nor feeds the tuning store.
+        let mut vopts = CompileOptions {
+            tuning: None,
+            ..opts.clone()
+        };
         for (name, _) in &args.bindings {
             vopts = vopts.bind(name, size);
         }
@@ -1976,11 +1894,7 @@ fn main() -> ExitCode {
             Err(e) => {
                 let err = CompilerError::from(e).with_context("compiling at verification size");
                 report_error(&err);
-                return ExitCode::from(if err.is_fault() {
-                    EXIT_INTERNAL
-                } else {
-                    EXIT_COMPILE
-                });
+                return compile_exit(&err);
             }
         };
         match verify_equivalence(&naive, &vcompiled, &vopts) {

@@ -245,9 +245,15 @@ fn serve_answers_malformed_requests_with_structured_errors() {
         let class = field(doc, "error").get("class").and_then(Json::as_str);
         assert_eq!(class, Some("bad-request"));
     }
-    // The repeated kernel is served from the engine's in-memory cache.
+    // The repeat is pipelined behind the first, so the two may be in
+    // flight together. The stampede guard's contract (`Engine::handle`):
+    // exactly one of them compiles and answers `miss`, the other takes its
+    // artifact from memory — which one is a race, not an order.
     assert_eq!(field(&docs[3], "ok"), &Json::Bool(true));
-    assert_eq!(field(&docs[3], "cache").as_str(), Some("memory"));
+    let mut caches = [&docs[0], &docs[3]].map(|doc| field(doc, "cache").as_str());
+    caches.sort();
+    assert_eq!(caches, [Some("memory"), Some("miss")]);
+    assert_eq!(field(&docs[0], "artifact"), field(&docs[3], "artifact"));
 }
 
 #[test]
