@@ -6,21 +6,29 @@
 //! and searches empirically. The paper test-runs each version on the GPU;
 //! here each version is scored by the simulator's trace-driven timing model
 //! (the analytical-model alternative the paper discusses).
+//!
+//! One search serves two kinds of design point. An ordinary kernel's points
+//! are merge triples `(bx, ty, tx)`; a `__gsync` reduction's points are the
+//! elements each stage-1 thread accumulates (a thread-merge degree). Every
+//! point runs through the same worker pool, containment, budgets, events
+//! and histograms, and the cheapest estimate wins.
 
 use crate::domain::Domain;
 use crate::error::{panic_message, FaultReason};
 use crate::fault;
 use crate::pass_manager::PassManager;
-use crate::pipeline::{CompileError, CompileOptions};
-use gpgpu_analysis::{AnalysisManager, CacheStats};
-use gpgpu_ast::LaunchConfig;
-use gpgpu_sim::{ExecError, PerfEstimate, PerfError, PerfOptions};
+use crate::pipeline::{estimate_launch_under, CompileError, CompileOptions, KernelLaunch};
+use gpgpu_analysis::{AnalysisManager, ArrayLayout, CacheStats};
+use gpgpu_ast::{Kernel, LaunchConfig, ScalarType};
+use gpgpu_sim::{ExecError, PerfError, PerfEstimate, PerfOptions};
 use gpgpu_trace::{CounterSnapshot, MetricsRegistry, SpanId, TraceEvent};
 use gpgpu_transform::{
-    CampingPass, MergeAxis, PassError, PipelineState, PrefetchPass, ThreadBlockMergePass,
-    ThreadMergePass,
+    reduction, CampingPass, MergeAxis, PassError, PipelineState, PrefetchPass, ReductionPass,
+    ThreadBlockMergePass, ThreadMergePass,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The explored merge degrees.
@@ -29,7 +37,8 @@ pub struct ExploreOptions {
     /// Thread-block merge factors along X (the paper targets 128/256/512
     /// threads per block, i.e. merging 8/16/32 half-warp blocks).
     pub block_merge_x: Vec<i64>,
-    /// Thread merge degrees along Y.
+    /// Thread merge degrees along Y. A `__gsync` reduction explores them
+    /// as elements per thread, after its default degree.
     pub thread_merge_y: Vec<i64>,
     /// Thread merge degrees along X, explored for 1-D kernels (a 2-D
     /// kernel prefers the Y direction, which preserves coalescing for
@@ -104,15 +113,18 @@ impl ExploreOptions {
 /// Why one design-space candidate produced no estimate.
 #[derive(Debug, Clone, PartialEq)]
 enum CandidateFailure {
-    /// An expected rejection: merge precondition, non-tiling domain, or a
-    /// configuration that does not fit the machine.
+    /// An expected rejection: merge precondition, non-tiling domain, a
+    /// refused reduction degree, or a configuration that does not fit the
+    /// machine.
     Rejected(String),
     /// A contained fault (panic, fuel exhaustion, deadline overrun). The
     /// flag records whether the candidate was retried once first.
     Fault(FaultReason, bool),
 }
 
-/// One evaluated point of the design space.
+/// One point of the design space: merge degrees, or the elements per
+/// stage-1 thread of a restructured `__gsync` reduction. Unscored points
+/// carry `time_ms` 0.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
     /// Thread blocks merged along X (1 = none).
@@ -123,13 +135,22 @@ pub struct Candidate {
     pub thread_merge_x: i64,
     /// Elements per thread for reduction kernels (None otherwise).
     pub reduction_elems: Option<i64>,
-    /// Estimated time in milliseconds.
+    /// Estimated time in milliseconds (of the whole launch sequence).
     pub time_ms: f64,
 }
 
 impl Candidate {
-    /// Stable label used by the metrics registry and trace events,
-    /// e.g. `bx8_ty4_tx1` or `red256`.
+    /// The point that merges nothing (the naive kernel's launch).
+    pub(crate) const UNMERGED: Candidate = Candidate {
+        block_merge_x: 1,
+        thread_merge_y: 1,
+        thread_merge_x: 1,
+        reduction_elems: None,
+        time_ms: 0.0,
+    };
+
+    /// Stable label used by the metrics registry, trace events, candidate
+    /// spans and fault sites, e.g. `bx8_ty4_tx1` or `red256`.
     pub fn label(&self) -> String {
         match self.reduction_elems {
             Some(e) => format!("red{e}"),
@@ -139,17 +160,35 @@ impl Candidate {
             ),
         }
     }
+
+    /// The `candidate-evaluated` event for this point.
+    fn evaluated_event(&self, rejected: Option<String>) -> TraceEvent {
+        TraceEvent::CandidateEvaluated {
+            label: self.label(),
+            block_merge_x: self.block_merge_x,
+            thread_merge_y: self.thread_merge_y,
+            thread_merge_x: self.thread_merge_x,
+            reduction_elems: self.reduction_elems,
+            time_ms: self.time_ms,
+            rejected,
+        }
+    }
 }
 
-/// The result of exploration: the winning kernel state and its launch.
+/// The result of exploration: the winning point's launches and estimates.
 #[derive(Debug, Clone)]
 pub struct Explored {
-    /// The winning pipeline state.
+    /// The winning pipeline state (for a reduction, the state the rewrite
+    /// read; its two kernels are in [`Self::launches`]).
     pub state: PipelineState,
-    /// Its launch configuration.
+    /// The first launch's configuration.
     pub launch: LaunchConfig,
-    /// Its performance estimate.
+    /// The first launch's performance estimate.
     pub estimate: PerfEstimate,
+    /// The launch sequence (two launches for a restructured reduction).
+    pub launches: Vec<KernelLaunch>,
+    /// Per-launch estimates.
+    pub per_launch: Vec<PerfEstimate>,
     /// The winning configuration.
     pub chosen: Candidate,
     /// Every evaluated point (for Figure 10-style sweeps).
@@ -188,61 +227,80 @@ pub fn launch_for(state: &PipelineState, domain: &Domain) -> Option<LaunchConfig
     })
 }
 
-/// Applies the post-merge passes (prefetch, partition-camping elimination)
-/// according to the enabled stages, through the candidate's pass manager.
-///
-/// # Errors
-///
-/// Propagates a [`PassError`] from the pass manager — in practice only a
-/// contained panic, since camping and prefetching degrade by skipping.
-pub fn finish_candidate(
-    state: &mut PipelineState,
+/// The points a search of `state` evaluates, in ranking order, with the
+/// size of the full space and whether a warm-start plan narrowed it.
+fn design_space(
+    state: &PipelineState,
     domain: &Domain,
     opts: &CompileOptions,
-    pm: &mut PassManager,
-) -> Result<(), PassError> {
-    // Camping elimination must precede prefetching: prefetch derives its
-    // next-iteration fetch from the (possibly rotated) staging expression,
-    // keeping the advance inside the rotation's modulo.
-    if opts.stages.partition {
-        if let Some(cfg) = launch_for(state, domain) {
-            let grid_2d = cfg.grid_y > 1;
-            // Diagonal remapping is a permutation only on square grids.
-            if !grid_2d || cfg.grid_x == cfg.grid_y {
-                pm.run(
-                    state,
-                    &mut CampingPass {
-                        geometry: opts.machine.partitions,
-                        grid_2d,
-                    },
-                )?;
-            } else {
-                state.emit(TraceEvent::PassSkipped {
-                    pass: "camping",
-                    reason: format!(
-                        "diagonal remapping needs a square grid, got {}x{}",
-                        cfg.grid_x, cfg.grid_y
-                    ),
-                });
+) -> (Vec<Candidate>, usize, bool) {
+    if state.kernel.uses_global_sync() {
+        // The degree the matched pattern implies comes first, then the
+        // thread-merge degrees; a repeat would only be evaluated twice.
+        let auto = reduction::auto_elems_per_thread(state);
+        let merge_y = opts.explore.thread_merge_y.iter().copied();
+        let mut points: Vec<Candidate> = Vec::new();
+        for e in auto.into_iter().chain(merge_y) {
+            let point = Candidate {
+                reduction_elems: Some(e.max(1)),
+                ..Candidate::UNMERGED
+            };
+            if !points.contains(&point) {
+                points.push(point);
             }
+        }
+        let n = points.len();
+        return (points, n, false);
+    }
+    let mut x_factors = vec![1i64];
+    let mut y_factors = vec![1i64];
+    let mut tx_factors = vec![1i64];
+    if opts.stages.merge {
+        // The 16×16 exchange kernel already has a full block; others grow
+        // toward 128–512 threads.
+        if state.block_y == 1 {
+            x_factors.extend(opts.explore.block_merge_x.iter().copied());
+        }
+        if domain.is_2d() {
+            y_factors.extend(opts.explore.thread_merge_y.iter().copied());
         } else {
-            state.emit(TraceEvent::PassSkipped {
-                pass: "camping",
-                reason: format!("domain {domain} does not tile the merged block"),
-            });
+            tx_factors.extend(opts.explore.thread_merge_x.iter().copied());
         }
     }
-    pm.run(
-        state,
-        &mut PrefetchPass {
-            register_budget: opts.machine.max_regs_per_thread,
-        },
-    )?;
-    Ok(())
+
+    let mut combos: Vec<Candidate> = Vec::new();
+    for &block_merge_x in &x_factors {
+        for &thread_merge_y in &y_factors {
+            for &thread_merge_x in &tx_factors {
+                combos.push(Candidate {
+                    block_merge_x,
+                    thread_merge_y,
+                    thread_merge_x,
+                    ..Candidate::UNMERGED
+                });
+            }
+        }
+    }
+    let full_space = combos.len();
+    let mut warm_started = false;
+    if let Some(plan) = &opts.explore.warm_start {
+        let keep = warm_selection(plan, &x_factors, &y_factors, &tx_factors);
+        let mut narrowed = combos.clone();
+        narrowed.retain(|c| keep.contains(&(c.block_merge_x, c.thread_merge_y, c.thread_merge_x)));
+        // A plan whose seeds all fall outside this grid (a stale or
+        // foreign entry) must not empty the search; fall back to the full
+        // space so the store can never produce "no candidates".
+        if !narrowed.is_empty() {
+            combos = narrowed;
+            warm_started = true;
+        }
+    }
+    (combos, full_space, warm_started)
 }
 
-/// Explores merge degrees starting from a coalesced kernel state and
-/// returns the best-performing version.
+/// Explores the design space of a kernel state and returns the
+/// best-performing version: merge degrees of a coalesced kernel, or
+/// elements-per-thread degrees of a `__gsync` reduction.
 ///
 /// # Errors
 ///
@@ -254,44 +312,7 @@ pub fn explore(
     domain: &Domain,
     opts: &CompileOptions,
 ) -> Result<Explored, CompileError> {
-    let mut x_factors = vec![1i64];
-    let mut y_factors = vec![1i64];
-    let mut tx_factors = vec![1i64];
-    if opts.stages.merge {
-        // The 16×16 exchange kernel already has a full block; others grow
-        // toward 128–512 threads.
-        if coalesced.block_y == 1 {
-            x_factors.extend(opts.explore.block_merge_x.iter().copied());
-        }
-        if domain.is_2d() {
-            y_factors.extend(opts.explore.thread_merge_y.iter().copied());
-        } else {
-            tx_factors.extend(opts.explore.thread_merge_x.iter().copied());
-        }
-    }
-
-    let mut combos: Vec<(i64, i64, i64)> = Vec::new();
-    for &bx in &x_factors {
-        for &ty in &y_factors {
-            for &tx in &tx_factors {
-                combos.push((bx, ty, tx));
-            }
-        }
-    }
-    let full_space = combos.len();
-    let mut warm_started = false;
-    if let Some(plan) = &opts.explore.warm_start {
-        let keep = warm_selection(plan, &x_factors, &y_factors, &tx_factors);
-        let narrowed: Vec<(i64, i64, i64)> =
-            combos.iter().copied().filter(|c| keep.contains(c)).collect();
-        // A plan whose seeds all fall outside this grid (a stale or
-        // foreign entry) must not empty the search; fall back to the full
-        // space so the store can never produce "no candidates".
-        if !narrowed.is_empty() {
-            combos = narrowed;
-            warm_started = true;
-        }
-    }
+    let (points, full_space, warm_started) = design_space(coalesced, domain, opts);
 
     // The explore span covers the whole parallel search; candidate spans on
     // the worker threads parent to it across the thread boundary.
@@ -305,68 +326,33 @@ pub fn explore(
     // `catch_unwind` so one pathological candidate cannot take down the
     // search: a panicked slot is retried once (transient poisoning), then
     // recorded as a contained fault.
-    let results: Vec<(Result<EvaluatedCandidate, CandidateFailure>, u64)> = {
-        let workers = opts
-            .explore
-            .workers
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
-            })
-            .clamp(1, combos.len().max(1));
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let mut slots: Vec<Option<(Result<EvaluatedCandidate, CandidateFailure>, u64)>> =
-            Vec::new();
-        slots.resize_with(combos.len(), || None);
-        let results = std::sync::Mutex::new(slots);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= combos.len() {
-                        return;
-                    }
-                    let started = Instant::now();
-                    let outcome = contained_evaluate(
-                        coalesced,
-                        am,
-                        domain,
-                        opts,
-                        Some(explore_span_id),
-                        combos[i],
-                    );
-                    let micros = started.elapsed().as_micros() as u64;
-                    // A panicking sibling may have poisoned the mutex while
-                    // holding no interesting state — the slots are plain
-                    // data, so recover the guard and keep going.
-                    results.lock().unwrap_or_else(|p| p.into_inner())[i] =
-                        Some((outcome, micros));
-                });
-            }
-        });
-        results
-            .into_inner()
-            .unwrap_or_else(|p| p.into_inner())
-            .into_iter()
-            .map(|r| {
-                // A slot can only be empty if a worker died outside the
-                // catch_unwind envelope; treat it as a contained fault.
-                r.unwrap_or_else(|| {
-                    (
-                        Err(CandidateFailure::Fault(
-                            FaultReason::Panic("worker died before reporting".into()),
-                            false,
-                        )),
-                        0,
-                    )
-                })
-            })
-            .collect()
-    };
+    let workers = opts
+        .explore
+        .workers
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4)
+        })
+        .clamp(1, points.len().max(1));
+    let next = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<(Result<EvaluatedCandidate, CandidateFailure>, u64)>> =
+        points.iter().map(|_| OnceLock::new()).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(point) = points.get(i) else { return };
+                let started = Instant::now();
+                let outcome =
+                    contained_evaluate(coalesced, am, domain, opts, Some(explore_span_id), point);
+                let _ = slots[i].set((outcome, started.elapsed().as_micros() as u64));
+            });
+        }
+    });
     drop(explore_span);
 
-    let mut best: Option<Explored> = None;
+    let mut best: Option<EvaluatedCandidate> = None;
     let mut evaluated = Vec::new();
     let mut metrics = MetricsRegistry::new();
     let mut events: Vec<TraceEvent> = Vec::new();
@@ -374,56 +360,39 @@ pub fn explore(
     let mut fault_count = 0usize;
     let mut last_fault: Option<String> = None;
     let mut cache = CacheStats::default();
-    for (&(bx, ty, tx), (outcome, micros)) in combos.iter().zip(results) {
+    for (point, slot) in points.into_iter().zip(slots) {
+        // A slot can only be empty if a worker died outside the
+        // catch_unwind envelope; treat it as a contained fault.
+        let (outcome, micros) = slot.into_inner().unwrap_or_else(|| {
+            let reason = FaultReason::Panic("worker died before reporting".into());
+            (Err(CandidateFailure::Fault(reason, false)), 0)
+        });
         metrics.record_duration("candidate_micros", micros);
         match outcome {
-            Ok(ev) => {
+            Ok(mut ev) => {
                 cache.hits += ev.cache.hits;
                 cache.misses += ev.cache.misses;
                 cache.invalidations += ev.cache.invalidations;
                 // Simulator phase attribution: phantom-trace (of which
-                // lowering) vs analytical model wall time per candidate.
-                metrics.record_duration("estimate_trace_micros", ev.estimate.trace_micros);
-                metrics.record_duration("estimate_lower_micros", ev.estimate.lower_micros);
-                metrics.record_duration("estimate_model_micros", ev.estimate.model_micros);
-                metrics.record(ev.candidate.label(), ev.estimate.counter_snapshot());
-                events.push(TraceEvent::CandidateEvaluated {
-                    label: ev.candidate.label(),
-                    block_merge_x: bx,
-                    thread_merge_y: ty,
-                    thread_merge_x: tx,
-                    reduction_elems: None,
-                    time_ms: ev.estimate.time_ms,
-                    rejected: None,
-                });
+                // lowering) vs analytical model wall time per estimate.
+                for estimate in &ev.per_launch {
+                    metrics.record_duration("estimate_trace_micros", estimate.trace_micros);
+                    metrics.record_duration("estimate_lower_micros", estimate.lower_micros);
+                    metrics.record_duration("estimate_model_micros", estimate.model_micros);
+                }
+                metrics.record(ev.candidate.label(), std::mem::take(&mut ev.snapshot));
+                events.push(ev.candidate.evaluated_event(None));
                 evaluated.push(ev.candidate.clone());
                 let better = best
                     .as_ref()
-                    .map(|b| ev.estimate.time_ms < b.estimate.time_ms)
+                    .map(|b| ev.candidate.time_ms < b.candidate.time_ms)
                     .unwrap_or(true);
                 if better {
-                    best = Some(Explored {
-                        state: ev.state,
-                        launch: ev.launch,
-                        estimate: ev.estimate,
-                        chosen: ev.candidate,
-                        evaluated: Vec::new(),
-                        metrics: MetricsRegistry::new(),
-                        events: Vec::new(),
-                        full_space,
-                        warm_started,
-                    });
+                    best = Some(ev);
                 }
             }
             Err(failure) => {
-                let label = Candidate {
-                    block_merge_x: bx,
-                    thread_merge_y: ty,
-                    thread_merge_x: tx,
-                    reduction_elems: None,
-                    time_ms: 0.0,
-                }
-                .label();
+                let label = point.label();
                 let msg = match &failure {
                     CandidateFailure::Rejected(msg) => msg.clone(),
                     CandidateFailure::Fault(reason, retried) => {
@@ -434,22 +403,14 @@ pub fn explore(
                         });
                         let mut snapshot = CounterSnapshot::new();
                         snapshot.push("faulted", 1.0);
-                        metrics.record(label.clone(), snapshot);
+                        metrics.record(label, snapshot);
                         fault_count += 1;
                         let msg = format!("fault: {reason}");
                         last_fault = Some(msg.clone());
                         msg
                     }
                 };
-                events.push(TraceEvent::CandidateEvaluated {
-                    label,
-                    block_merge_x: bx,
-                    thread_merge_y: ty,
-                    thread_merge_x: tx,
-                    reduction_elems: None,
-                    time_ms: 0.0,
-                    rejected: Some(msg.clone()),
-                });
+                events.push(point.evaluated_event(Some(msg.clone())));
                 last_error = Some(msg);
             }
         }
@@ -460,40 +421,60 @@ pub fn explore(
     metrics.push_global("analysis_cache_hits", cache.hits as f64);
     metrics.push_global("analysis_cache_misses", cache.misses as f64);
     metrics.push_global("analysis_cache_invalidations", cache.invalidations as f64);
-    match best {
-        Some(mut b) => {
-            b.evaluated = evaluated;
-            metrics.set_chosen(b.chosen.label());
-            // The winner's state carries only the suffix of events beyond
-            // the shared snapshot; fold it in ahead of the search events.
-            let mut combined = std::mem::take(&mut b.state.trace).into_events();
-            combined.extend(events);
-            combined.push(TraceEvent::MergeSelected {
-                block_merge_x: b.chosen.block_merge_x,
-                thread_merge_y: b.chosen.thread_merge_y,
-                thread_merge_x: b.chosen.thread_merge_x,
-                reduction_elems: b.chosen.reduction_elems,
-                time_ms: b.chosen.time_ms,
-            });
-            b.metrics = metrics;
-            b.events = combined;
-            Ok(b)
-        }
-        // Faults are the actionable signal when nothing survived — a tiling
-        // rejection after a dozen contained panics is noise, so prefer the
-        // last fault over the last ordinary rejection.
-        None => Err(CompileError::NoValidConfiguration(match last_fault {
+    // Faults are the actionable signal when nothing survived — a tiling
+    // rejection after a dozen contained panics is noise, so prefer the last
+    // fault over the last ordinary rejection.
+    let Some(mut best) = best else {
+        return Err(CompileError::NoValidConfiguration(match last_fault {
             Some(f) => format!("{fault_count} candidate(s) faulted; last {f}"),
             None => last_error.unwrap_or_else(|| "no candidates".into()),
-        })),
-    }
+        }));
+    };
+    metrics.set_chosen(best.candidate.label());
+    // The winner's state carries only the suffix of events beyond the
+    // shared snapshot; fold it in ahead of the search events.
+    let mut combined = std::mem::take(&mut best.state.trace).into_events();
+    combined.extend(events);
+    combined.push(TraceEvent::MergeSelected {
+        block_merge_x: best.candidate.block_merge_x,
+        thread_merge_y: best.candidate.thread_merge_y,
+        thread_merge_x: best.candidate.thread_merge_x,
+        reduction_elems: best.candidate.reduction_elems,
+        time_ms: best.candidate.time_ms,
+    });
+    // Only the winner's kernels are copied out of the shared snapshots.
+    let launches: Vec<KernelLaunch> = best
+        .launches
+        .into_iter()
+        .map(|(kernel, launch, extra_buffers)| KernelLaunch {
+            kernel: Arc::unwrap_or_clone(kernel),
+            launch,
+            extra_buffers,
+        })
+        .collect();
+    Ok(Explored {
+        state: best.state,
+        launch: launches[0].launch,
+        estimate: best.per_launch[0].clone(),
+        launches,
+        per_launch: best.per_launch,
+        chosen: best.candidate,
+        evaluated,
+        metrics,
+        events: combined,
+        full_space,
+        warm_started,
+    })
 }
 
 /// One successfully evaluated design-space point.
 struct EvaluatedCandidate {
     state: PipelineState,
-    launch: LaunchConfig,
-    estimate: PerfEstimate,
+    /// The point's launch sequence and per-launch estimates (never empty).
+    launches: Vec<PendingLaunch>,
+    per_launch: Vec<PerfEstimate>,
+    /// The counters the registry records for the point.
+    snapshot: CounterSnapshot,
     candidate: Candidate,
     /// Analysis-cache traffic this candidate generated on top of the
     /// inherited snapshot.
@@ -545,16 +526,16 @@ fn warm_selection(
 /// then recorded as a fault; fuel and deadline overruns map to faults
 /// directly.
 fn contained_evaluate(
-    coalesced: &PipelineState,
+    base: &PipelineState,
     am: &AnalysisManager,
     domain: &Domain,
     opts: &CompileOptions,
     explore_span: Option<SpanId>,
-    merges: (i64, i64, i64),
+    point: &Candidate,
 ) -> Result<EvaluatedCandidate, CandidateFailure> {
     let attempt = || {
         catch_unwind(AssertUnwindSafe(|| {
-            evaluate_candidate(coalesced, am, domain, opts, explore_span, merges)
+            evaluate_candidate(base, am, domain, opts, explore_span, point)
         }))
     };
     match attempt() {
@@ -579,68 +560,145 @@ fn pass_failure(e: PassError) -> CandidateFailure {
     }
 }
 
+/// Maps a simulator failure into a candidate failure: fuel and deadline
+/// overruns are faults, everything else is an ordinary rejection.
+fn perf_failure(e: PerfError) -> CandidateFailure {
+    use CandidateFailure::{Fault, Rejected};
+    match e {
+        PerfError::Exec(ExecError::IterationLimit) => Fault(FaultReason::FuelExhausted, false),
+        PerfError::Exec(ExecError::DeadlineExceeded) => Fault(FaultReason::DeadlineExceeded, false),
+        PerfError::DoesNotFit(msg) => Rejected(msg),
+        other => Rejected(other.to_string()),
+    }
+}
+
+/// The simulator options a candidate's estimates run under: its fuel
+/// budget (an injected fuel fault overrides it by label) and a deadline
+/// starting now.
+fn candidate_perf_options(opts: &CompileOptions, label: &str) -> PerfOptions {
+    PerfOptions {
+        sample_blocks: opts.sample_blocks,
+        fuel: fault::fuel_override(label).or(opts.explore.candidate_fuel),
+        deadline: opts
+            .explore
+            .candidate_deadline_ms
+            .map(|ms| Instant::now() + Duration::from_millis(ms)),
+        cost_model: opts.cost_model,
+        ..PerfOptions::default()
+    }
+}
+
 fn evaluate_candidate(
-    coalesced: &PipelineState,
+    base: &PipelineState,
     am: &AnalysisManager,
     domain: &Domain,
     opts: &CompileOptions,
     explore_span: Option<SpanId>,
-    (bx, ty, tx): (i64, i64, i64),
+    point: &Candidate,
 ) -> Result<EvaluatedCandidate, CandidateFailure> {
-    let label = Candidate {
-        block_merge_x: bx,
-        thread_merge_y: ty,
-        thread_merge_x: tx,
-        reduction_elems: None,
-        time_ms: 0.0,
-    }
-    .label();
+    let label = point.label();
     // Opened before fault injection so an injected panic unwinds through
     // the guard and the span table stays balanced.
-    let cand_span = coalesced
+    let cand_span = base
         .profiler
         .span_under(explore_span, format!("candidate:{label}"), "candidate");
     fault::maybe_panic(&label);
-    let rejected = CandidateFailure::Rejected;
-    // Branch from the shared coalesced snapshot: the kernel is shared
-    // copy-on-write and the analysis cache is inherited, so the layouts
-    // resolved during coalescing are never recomputed per candidate.
-    let mut st = coalesced.branch();
+    // Branch from the shared snapshot: the kernel is shared copy-on-write
+    // and the analysis cache is inherited, so the layouts resolved during
+    // coalescing are never recomputed per candidate.
+    let mut st = base.branch();
     st.profile_span = Some(cand_span.id());
     let mut pm = PassManager::with_manager(opts.stages, am.clone());
     let inherited = pm.am.stats();
+    let (launches, per_launch, snapshot) = match point.reduction_elems {
+        Some(elems) => reduction_point(&mut st, &mut pm, opts, &label, elems)?,
+        None => merge_point(&mut st, &mut pm, domain, opts, &label, point)?,
+    };
+    let total = pm.am.stats();
+    let cache = CacheStats {
+        hits: total.hits - inherited.hits,
+        misses: total.misses - inherited.misses,
+        invalidations: total.invalidations - inherited.invalidations,
+    };
+    Ok(EvaluatedCandidate {
+        state: st,
+        candidate: Candidate {
+            time_ms: per_launch.iter().map(|e| e.time_ms).sum(),
+            ..point.clone()
+        },
+        launches,
+        per_launch,
+        snapshot,
+        cache,
+    })
+}
+
+/// A launch whose kernel stays shared until the point wins: the kernel, its
+/// configuration and the extra buffers it needs.
+type PendingLaunch = (Arc<Kernel>, LaunchConfig, Vec<ArrayLayout>);
+
+/// A point's launch sequence, per-launch estimates, and the counters the
+/// registry records for it.
+type PointResult = (Vec<PendingLaunch>, Vec<PerfEstimate>, CounterSnapshot);
+
+/// A merge point: the merge passes, partition-camping elimination and
+/// prefetching on the coalesced branch, then one estimate on the memoized
+/// analyses.
+fn merge_point(
+    st: &mut PipelineState,
+    pm: &mut PassManager,
+    domain: &Domain,
+    opts: &CompileOptions,
+    label: &str,
+    point: &Candidate,
+) -> Result<PointResult, CandidateFailure> {
+    let (bx, ty, tx) = (
+        point.block_merge_x,
+        point.thread_merge_y,
+        point.thread_merge_x,
+    );
+    let rejected = CandidateFailure::Rejected;
     if bx > 1 {
-        pm.run(&mut st, &mut ThreadBlockMergePass { factor: bx })
+        pm.run(st, &mut ThreadBlockMergePass { factor: bx })
             .map_err(pass_failure)?;
     }
-    if ty > 1 {
-        pm.run(
-            &mut st,
-            &mut ThreadMergePass {
-                axis: MergeAxis::Y,
-                factor: ty,
-            },
-        )
-        .map_err(pass_failure)?;
+    for (axis, factor) in [(MergeAxis::Y, ty), (MergeAxis::X, tx)] {
+        if factor > 1 {
+            pm.run(st, &mut ThreadMergePass { axis, factor })
+                .map_err(pass_failure)?;
+        }
     }
-    if tx > 1 {
-        pm.run(
-            &mut st,
-            &mut ThreadMergePass {
-                axis: MergeAxis::X,
-                factor: tx,
-            },
-        )
-        .map_err(pass_failure)?;
+    // Camping elimination must precede prefetching: prefetch derives its
+    // next-iteration fetch from the (possibly rotated) staging expression,
+    // keeping the advance inside the rotation's modulo.
+    if opts.stages.partition {
+        let skipped = match launch_for(st, domain) {
+            // Diagonal remapping is a permutation only on square grids.
+            Some(cfg) if cfg.grid_y <= 1 || cfg.grid_x == cfg.grid_y => {
+                let geometry = opts.machine.partitions;
+                let grid_2d = cfg.grid_y > 1;
+                pm.run(st, &mut CampingPass { geometry, grid_2d })
+                    .map_err(pass_failure)?;
+                None
+            }
+            Some(cfg) => Some(format!(
+                "diagonal remapping needs a square grid, got {}x{}",
+                cfg.grid_x, cfg.grid_y
+            )),
+            None => Some(format!("domain {domain} does not tile the merged block")),
+        };
+        if let Some(reason) = skipped {
+            st.emit(TraceEvent::PassSkipped {
+                pass: "camping",
+                reason,
+            });
+        }
     }
-    finish_candidate(&mut st, domain, opts, &mut pm).map_err(pass_failure)?;
-    let cfg = launch_for(&st, domain)
+    let register_budget = opts.machine.max_regs_per_thread;
+    pm.run(st, &mut PrefetchPass { register_budget })
+        .map_err(pass_failure)?;
+    let cfg = launch_for(st, domain)
         .ok_or_else(|| rejected(format!("domain {domain} does not tile {bx}x{ty}x{tx}")))?;
-    let fuel = fault::fuel_override(&label).or(opts.explore.candidate_fuel);
-    let deadline = opts
-        .explore
-        .candidate_deadline_ms
-        .map(|ms| Instant::now() + Duration::from_millis(ms));
     // The timing model reuses the memoized resources and layouts instead
     // of recomputing them per candidate.
     pm.am.sync(st.version());
@@ -649,33 +707,20 @@ fn evaluate_candidate(
         .am
         .layouts(&st.kernel, &st.bindings)
         .map_err(|e| rejected(e.to_string()))?;
-    let estimate_span = cand_span.child("estimate", "estimate");
+    let estimate_span = st
+        .profiler
+        .span_under(st.profile_span, "estimate", "estimate");
     let estimate_started = Instant::now();
     let estimate = gpgpu_sim::estimate_prepared(
         &st.kernel,
         &cfg,
         &st.bindings,
         &opts.machine,
-        &PerfOptions {
-            sample_blocks: opts.sample_blocks,
-            fuel,
-            deadline,
-            cost_model: opts.cost_model,
-            ..PerfOptions::default()
-        },
+        &candidate_perf_options(opts, label),
         &resources,
         &layouts,
     )
-    .map_err(|e| match e {
-        PerfError::Exec(ExecError::IterationLimit) => {
-            CandidateFailure::Fault(FaultReason::FuelExhausted, false)
-        }
-        PerfError::Exec(ExecError::DeadlineExceeded) => {
-            CandidateFailure::Fault(FaultReason::DeadlineExceeded, false)
-        }
-        PerfError::DoesNotFit(msg) => rejected(msg),
-        other => rejected(other.to_string()),
-    })?;
+    .map_err(perf_failure)?;
     // The simulator has no profiler handle; it reports how long lowering
     // took, and lowering is the first thing a trace does.
     opts.profiler.record_span_between(
@@ -686,26 +731,59 @@ fn evaluate_candidate(
         estimate_started + Duration::from_micros(estimate.lower_micros),
     );
     drop(estimate_span);
-    let candidate = Candidate {
-        block_merge_x: bx,
-        thread_merge_y: ty,
-        thread_merge_x: tx,
-        reduction_elems: None,
-        time_ms: estimate.time_ms,
+    let snapshot = estimate.counter_snapshot();
+    let launch = (Arc::clone(&st.kernel), cfg, Vec::new());
+    Ok((vec![launch], vec![estimate], snapshot))
+}
+
+/// A reduction point: the two-launch rewrite at `elems` per thread, both
+/// stages estimated under the candidate's budgets. The counters recorded
+/// are stage 1's plus the stage-2 and total times.
+fn reduction_point(
+    st: &mut PipelineState,
+    pm: &mut PassManager,
+    opts: &CompileOptions,
+    label: &str,
+    elems: i64,
+) -> Result<PointResult, CandidateFailure> {
+    let mut pass = ReductionPass {
+        elems: Some(elems),
+        rewrite: None,
     };
-    let total = pm.am.stats();
-    let cache = CacheStats {
-        hits: total.hits - inherited.hits,
-        misses: total.misses - inherited.misses,
-        invalidations: total.invalidations - inherited.invalidations,
+    pm.run(st, &mut pass).map_err(pass_failure)?;
+    let rw = pass
+        .rewrite
+        .ok_or_else(|| CandidateFailure::Rejected("the merge stage is disabled".into()))?;
+    st.emit(TraceEvent::ReductionRestructured {
+        elems_per_thread: rw.elems_per_thread,
+        launches: 2,
+    });
+    let _estimate_span = st
+        .profiler
+        .span_under(st.profile_span, "estimate", "estimate");
+    let perf = candidate_perf_options(opts, label);
+    let estimate = |kernel, launch, stage: &str| {
+        estimate_launch_under(kernel, launch, &st.bindings, opts, &perf).map_err(|e| {
+            match perf_failure(e) {
+                CandidateFailure::Rejected(msg) => {
+                    CandidateFailure::Rejected(format!("{stage}: {msg}"))
+                }
+                fault => fault,
+            }
+        })
     };
-    Ok(EvaluatedCandidate {
-        state: st,
-        launch: cfg,
-        estimate,
-        candidate,
-        cache,
-    })
+    let e1 = estimate(&rw.stage1, &rw.stage1_launch, "stage 1")?;
+    let e2 = estimate(&rw.stage2, &rw.stage2_launch, "stage 2")?;
+    let mut snapshot = e1.counter_snapshot();
+    snapshot.push("stage2_time_ms", e2.time_ms);
+    snapshot.push("total_time_ms", e1.time_ms + e2.time_ms);
+    let partials = ArrayLayout::new(&rw.partials, ScalarType::Float, vec![reduction::PARTIALS]);
+    let buffers = vec![partials];
+    let launches = vec![
+        (Arc::new(rw.stage1), rw.stage1_launch, buffers.clone()),
+        (Arc::new(rw.stage2), rw.stage2_launch, buffers),
+    ];
+    Ok((launches, vec![e1, e2], snapshot))
 }
 
 #[cfg(test)]

@@ -4,8 +4,9 @@
 //! for test builds; release builds compile the no-op shims below). A fault
 //! is *armed* either programmatically ([`arm_panic`] / [`arm_fuel`]) or via
 //! the `GPGPU_FAULT` environment variable, whose value is
-//! `panic:<site>` or `fuel:<site>` where `<site>` is a candidate label
-//! (`bx8_ty4_tx1`), the string `pipeline`, or `*` for any site.
+//! `panic:<site>` or `fuel:<site>` where `<site>` is a candidate label —
+//! a merge point (`bx8_ty4_tx1`) or a reduction degree (`red<e>`, e.g.
+//! `red8`) —, the string `pipeline`, or `*` for any site.
 //!
 //! The pipeline probes [`maybe_panic`] at the start of every candidate
 //! evaluation and of the optimized-compile path, and [`fuel_override`]

@@ -6,13 +6,10 @@ use crate::explore::{explore, launch_for, Candidate, ExploreOptions, Explored, W
 use crate::fault;
 use crate::pass_manager::PassManager;
 use gpgpu_analysis::{ArrayLayout, Bindings};
-use gpgpu_ast::{print_kernel, AccessSpans, Kernel, LaunchConfig, PrintOptions, ScalarType};
-use gpgpu_sim::{CostModelKind, MachineDesc, PerfEstimate, PerfOptions};
+use gpgpu_ast::{print_kernel, AccessSpans, Kernel, LaunchConfig, PrintOptions};
+use gpgpu_sim::{CostModelKind, MachineDesc, PerfError, PerfEstimate, PerfOptions};
 use gpgpu_trace::{Json, MetricsRegistry, Profiler, SpanId, TraceEvent, TraceSink};
-use gpgpu_transform::{
-    reduction, AmdVectorizePass, CoalescePass, PassError, ReductionPass, PipelineState,
-    VectorizePass,
-};
+use gpgpu_transform::{AmdVectorizePass, CoalescePass, PassError, PipelineState, VectorizePass};
 use gpgpu_tuning::{kernel_shape, ConfigScore, KernelShape, Lookup, ShapeContext, StoreNote, TuningStore};
 use std::fmt;
 use std::sync::Arc;
@@ -552,16 +549,24 @@ fn compile_optimized(
             .map_err(pass_failure)?;
     }
 
-    if state.kernel.uses_global_sync() {
-        return compile_reduction(state, pm, domain, opts);
-    }
-    if !opts.stages.coalesce {
+    // A `__gsync` reduction is restructured rather than coalesced: its
+    // elements-per-thread degrees are the explorer's points, under the
+    // merge stage's gate.
+    let reduction = state.kernel.uses_global_sync();
+    let stage = if reduction { "merge" } else { "coalesce" };
+    if !opts.stages.enabled(stage) {
         return naive_state_compiled(state, domain, opts);
     }
-    pm.run(&mut state, &mut CoalescePass).map_err(pass_failure)?;
+    if !reduction {
+        pm.run(&mut state, &mut CoalescePass)
+            .map_err(pass_failure)?;
+    }
 
+    // The tuning store covers merge spaces only.
     let mut tuning_events: Vec<TraceEvent> = Vec::new();
-    let session = prepare_tuning(naive, &domain, opts, &mut tuning_events);
+    let session = (!reduction)
+        .then(|| prepare_tuning(naive, &domain, opts, &mut tuning_events))
+        .flatten();
     let explored = match &session {
         Some(s) if s.plan.is_some() => {
             let mut warm_opts = opts.clone();
@@ -571,8 +576,12 @@ fn compile_optimized(
         _ => explore(&state, &pm.am, &domain, opts)?,
     };
     let tuning_report = session.map(|s| s.finish(&explored, &mut tuning_events));
-    let estimate = explored.estimate;
-    let source = print_kernel(&explored.state.kernel, PrintOptions::default());
+    let source = explored
+        .launches
+        .iter()
+        .map(|l| print_kernel(&l.kernel, PrintOptions::default()))
+        .collect::<Vec<_>>()
+        .join("\n");
     // The shared base trace is moved, not cloned: candidates record only
     // suffix events, and the winner's suffix is already folded into
     // `explored.events`.
@@ -590,13 +599,9 @@ fn compile_optimized(
     }
     record_duration_histograms(&mut metrics, &trace);
     Ok(CompiledKernel {
-        launches: vec![KernelLaunch {
-            kernel: explored.state.kernel.as_ref().clone(),
-            launch: explored.launch,
-            extra_buffers: Vec::new(),
-        }],
-        per_launch: vec![estimate.clone()],
-        estimate,
+        launches: explored.launches,
+        per_launch: explored.per_launch,
+        estimate: explored.estimate,
         trace,
         metrics,
         source,
@@ -714,7 +719,6 @@ impl TuningSession {
         let candidates: Vec<ConfigScore> = explored
             .evaluated
             .iter()
-            .filter(|c| c.reduction_elems.is_none())
             .map(|c| ConfigScore {
                 block_merge_x: c.block_merge_x,
                 thread_merge_y: c.thread_merge_y,
@@ -812,182 +816,13 @@ fn naive_state_compiled(
         trace: st.trace,
         metrics,
         source,
-        chosen: Candidate {
-            block_merge_x: 1,
-            thread_merge_y: 1,
-            thread_merge_x: 1,
-            reduction_elems: None,
-            time_ms: 0.0,
-        },
+        chosen: Candidate::UNMERGED,
         evaluated: Vec::new(),
         degraded: None,
         cost_model: opts.cost_model,
         profiler: st.profiler.clone(),
         tuning: None,
     })
-}
-
-fn compile_reduction(
-    state: PipelineState,
-    mut pm: PassManager,
-    domain: Domain,
-    opts: &CompileOptions,
-) -> Result<CompiledKernel, CompileError> {
-    if !opts.stages.merge {
-        return naive_state_compiled(state, domain, opts);
-    }
-    let mut best: Option<(CompiledKernel, f64)> = None;
-    let mut evaluated = Vec::new();
-    let mut metrics = MetricsRegistry::new();
-    let mut search_events: Vec<TraceEvent> = Vec::new();
-    let mut candidates: Vec<Option<i64>> = vec![None];
-    candidates.extend(opts.explore.thread_merge_y.iter().map(|&e| Some(e)));
-    for elems in candidates {
-        let _cand_span = state.profiler.span_under(
-            state.profile_span,
-            match elems {
-                Some(e) => format!("candidate:red{e}"),
-                None => "candidate:red-auto".to_string(),
-            },
-            "candidate",
-        );
-        // Each degree probes on a cheap copy-on-write branch; the branch's
-        // trace is a suffix merged back only for the winner.
-        let mut scratch = state.branch();
-        let mut pass = ReductionPass {
-            elems,
-            rewrite: None,
-        };
-        pm.run(&mut scratch, &mut pass).map_err(pass_failure)?;
-        let Some(rw) = pass.rewrite else {
-            search_events.push(TraceEvent::PassSkipped {
-                pass: "reduction",
-                reason: match elems {
-                    Some(e) => format!("{e} elements/thread did not match the reduction pattern"),
-                    None => "auto degree did not match the reduction pattern".into(),
-                },
-            });
-            continue;
-        };
-        let label = format!("red{}", rw.elems_per_thread);
-        let reject = |msg: String, search_events: &mut Vec<TraceEvent>| {
-            search_events.push(TraceEvent::CandidateEvaluated {
-                label: label.clone(),
-                block_merge_x: 1,
-                thread_merge_y: 1,
-                thread_merge_x: 1,
-                reduction_elems: Some(rw.elems_per_thread),
-                time_ms: 0.0,
-                rejected: Some(msg),
-            });
-        };
-        let e1 = match estimate_launch(&rw.stage1, &rw.stage1_launch, &state.bindings, opts) {
-            Ok(e) => e,
-            Err(msg) => {
-                reject(format!("stage 1: {msg}"), &mut search_events);
-                continue;
-            }
-        };
-        let e2 = match estimate_launch(&rw.stage2, &rw.stage2_launch, &state.bindings, opts) {
-            Ok(e) => e,
-            Err(msg) => {
-                reject(format!("stage 2: {msg}"), &mut search_events);
-                continue;
-            }
-        };
-        let time = e1.time_ms + e2.time_ms;
-        let cand = Candidate {
-            block_merge_x: 1,
-            thread_merge_y: 1,
-            thread_merge_x: 1,
-            reduction_elems: Some(rw.elems_per_thread),
-            time_ms: time,
-        };
-        let label = format!("red{}", rw.elems_per_thread);
-        // Duplicate degrees (the `None` probe often lands on an explicit
-        // one) would double-count in the registry.
-        if metrics.candidates().iter().all(|c| c.label != label) {
-            let mut snapshot = e1.counter_snapshot();
-            snapshot.push("stage2_time_ms", e2.time_ms);
-            snapshot.push("total_time_ms", time);
-            metrics.record(label.clone(), snapshot);
-            search_events.push(TraceEvent::CandidateEvaluated {
-                label,
-                block_merge_x: 1,
-                thread_merge_y: 1,
-                thread_merge_x: 1,
-                reduction_elems: Some(rw.elems_per_thread),
-                time_ms: time,
-                rejected: None,
-            });
-            evaluated.push(cand.clone());
-        }
-        let better = best.as_ref().map(|(_, t)| time < *t).unwrap_or(true);
-        if better {
-            let partial_layout =
-                ArrayLayout::new(&rw.partials, ScalarType::Float, vec![reduction::PARTIALS]);
-            let source = format!(
-                "{}\n{}",
-                print_kernel(&rw.stage1, PrintOptions::default()),
-                print_kernel(&rw.stage2, PrintOptions::default())
-            );
-            let mut trace = state.trace.clone();
-            trace.extend(std::mem::take(&mut scratch.trace).into_events());
-            trace.emit(TraceEvent::ReductionRestructured {
-                elems_per_thread: rw.elems_per_thread,
-                launches: 2,
-            });
-            let compiled = CompiledKernel {
-                launches: vec![
-                    KernelLaunch {
-                        kernel: rw.stage1.clone(),
-                        launch: rw.stage1_launch,
-                        extra_buffers: vec![partial_layout.clone()],
-                    },
-                    KernelLaunch {
-                        kernel: rw.stage2.clone(),
-                        launch: rw.stage2_launch,
-                        extra_buffers: vec![partial_layout],
-                    },
-                ],
-                estimate: e1.clone(),
-                per_launch: vec![e1, e2],
-                trace,
-                metrics: MetricsRegistry::new(),
-                source,
-                chosen: cand,
-                evaluated: Vec::new(),
-                degraded: None,
-                cost_model: opts.cost_model,
-                profiler: opts.profiler.clone(),
-                tuning: None,
-            };
-            best = Some((compiled, time));
-        }
-    }
-    match best {
-        Some((mut compiled, _)) => {
-            compiled.evaluated = evaluated;
-            let chosen = compiled.chosen.clone();
-            if let Some(elems) = chosen.reduction_elems {
-                metrics.set_chosen(format!("red{elems}"));
-            }
-            compiled.trace.extend(search_events);
-            compiled.trace.emit(TraceEvent::MergeSelected {
-                block_merge_x: chosen.block_merge_x,
-                thread_merge_y: chosen.thread_merge_y,
-                thread_merge_x: chosen.thread_merge_x,
-                reduction_elems: chosen.reduction_elems,
-                time_ms: chosen.time_ms,
-            });
-            record_duration_histograms(&mut metrics, &compiled.trace);
-            compiled.metrics = metrics;
-            Ok(compiled)
-        }
-        None => Err(CompileError::NoValidConfiguration(
-            "reduction pattern did not match or no degree fit".into(),
-        )),
-    }
 }
 
 /// Threads above which a `__gsync()` kernel's trace is run at a reduced
@@ -1007,6 +842,19 @@ pub fn estimate_launch(
         cost_model: opts.cost_model,
         ..PerfOptions::default()
     };
+    estimate_launch_under(kernel, cfg, bindings, opts, &perf_opts).map_err(|e| e.to_string())
+}
+
+/// [`estimate_launch`] under explicit simulator options (a candidate's fuel
+/// and deadline), keeping the simulator's error so a budget overrun stays
+/// distinguishable from a rejection.
+pub(crate) fn estimate_launch_under(
+    kernel: &Kernel,
+    cfg: &LaunchConfig,
+    bindings: &Bindings,
+    opts: &CompileOptions,
+    perf_opts: &PerfOptions,
+) -> Result<PerfEstimate, PerfError> {
     let total_threads = cfg.total_threads() as i64;
     if kernel.uses_global_sync() && total_threads > MEGA_TRACE_LIMIT {
         let factor = total_threads / MEGA_TRACE_LIMIT;
@@ -1017,7 +865,9 @@ pub fn estimate_launch(
         for (k, &v) in bindings {
             if v >= MEGA_TRACE_LIMIT {
                 if v % factor != 0 {
-                    return Err(format!("cannot shrink binding {k}={v} by {factor}"));
+                    return Err(PerfError::DoesNotFit(format!(
+                        "cannot shrink binding {k}={v} by {factor}"
+                    )));
                 }
                 small.insert(k.clone(), v / factor);
             } else {
@@ -1028,8 +878,7 @@ pub fn estimate_launch(
             (cfg.grid_x as i64 / factor).max(1) as u32,
             cfg.block_x,
         );
-        let est = gpgpu_sim::estimate(kernel, &small_cfg, &small, &opts.machine, &perf_opts)
-            .map_err(|e| e.to_string())?;
+        let est = gpgpu_sim::estimate(kernel, &small_cfg, &small, &opts.machine, perf_opts)?;
         let mut scaled = est.stats.scaled(factor as f64);
         // Barrier crossings (tree depth) grow with log2 of the shrink.
         scaled.gsync_crossings += factor.ilog2() as u64;
@@ -1044,8 +893,7 @@ pub fn estimate_launch(
             scaled,
         ));
     }
-    gpgpu_sim::estimate(kernel, cfg, bindings, &opts.machine, &perf_opts)
-        .map_err(|e| e.to_string())
+    gpgpu_sim::estimate(kernel, cfg, bindings, &opts.machine, perf_opts)
 }
 
 #[cfg(test)]
@@ -1137,6 +985,61 @@ mod tests {
         // And it beats the naive gsync tree.
         let naive = naive_compiled(&k, &opts).unwrap();
         assert!(compiled.total_time_ms() < naive.total_time_ms());
+
+        // At 4 Mi elements only the default degree (64) fits the 256
+        // partials; the explicit degrees are rejected candidates that say
+        // why, not skipped passes.
+        let reason = compiled
+            .trace
+            .events()
+            .iter()
+            .find_map(|e| match e {
+                TraceEvent::CandidateEvaluated {
+                    label, rejected, ..
+                } if label == "red4" => rejected.clone(),
+                _ => None,
+            })
+            .expect("red4 is reported as a rejected candidate");
+        assert!(
+            reason.contains("4096 blocks") && reason.contains("256 partials"),
+            "{reason}"
+        );
+        let skipped = |e: &TraceEvent| {
+            matches!(
+                e,
+                TraceEvent::PassSkipped {
+                    pass: "reduction",
+                    ..
+                }
+            )
+        };
+        assert!(!compiled.trace.events().iter().any(skipped));
+    }
+
+    #[test]
+    fn gsync_kernel_that_is_not_a_reduction_degrades_naming_the_pattern() {
+        let k = parse_kernel(
+            "__global__ void g(float a[n], int n) {
+                a[idx] = a[idx] * 2.0f;
+                __gsync();
+                a[idx] = a[idx] + 1.0f;
+            }",
+        )
+        .unwrap();
+        let opts = CompileOptions::new(MachineDesc::gtx280()).bind("n", 1024);
+        let compiled = compile(&k, &opts).unwrap();
+        match &compiled.degraded {
+            Some(DegradedReason::AllCandidatesFailed(msg)) => {
+                assert!(msg.contains("pattern"), "{msg}")
+            }
+            other => panic!("expected all candidates to fail, got {other:?}"),
+        }
+        // With the merge stage off the kernel stays naive, undegraded.
+        let off = opts.with_stages(StageSet {
+            merge: false,
+            ..StageSet::all()
+        });
+        assert!(compile(&k, &off).unwrap().degraded.is_none());
     }
 
     #[test]

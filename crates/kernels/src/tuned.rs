@@ -146,7 +146,7 @@ pub fn cublas_rd(len: i64) -> Vec<KernelLaunch> {
     let state = gpgpu_transform::PipelineState::new(naive, bindings(&[("len", len)]));
     let elems = (len / (256 * 256)).max(1) * 2;
     let rw = gpgpu_transform::reduction::rewrite_reduction(&state, Some(elems))
-        .or_else(|| gpgpu_transform::reduction::rewrite_reduction(&state, None))
+        .or_else(|_| gpgpu_transform::reduction::rewrite_reduction(&state, None))
         .expect("reduction pattern matches the naive rd kernel");
     let partial = gpgpu_analysis::ArrayLayout::new(
         &rw.partials,

@@ -377,12 +377,13 @@ impl Pass for CampingPass {
 /// Reduction restructuring (paper §3, §6): rewrites a `__gsync` halving
 /// tree into the two-launch hierarchy. The rewrite replaces the kernel
 /// rather than editing it in place, so the pass stores the result in
-/// [`rewrite`](Self::rewrite) for the driver to pick up.
+/// [`rewrite`](Self::rewrite) for the driver to pick up. A refused rewrite
+/// is an ordinary rejection naming its cause.
 #[derive(Debug, Clone, Default)]
 pub struct ReductionPass {
     /// Elements accumulated per thread; `None` picks the default.
     pub elems: Option<i64>,
-    /// The two-launch program, populated when the pattern matched.
+    /// The two-launch program, populated when the rewrite applied.
     pub rewrite: Option<crate::reduction::ReductionRewrite>,
 }
 
@@ -409,12 +410,10 @@ impl Pass for ReductionPass {
         state: &mut PipelineState,
         _am: &mut AnalysisManager,
     ) -> Result<PassOutcome, PassError> {
-        self.rewrite = crate::reduction::rewrite_reduction(state, self.elems);
-        Ok(if self.rewrite.is_some() {
-            PassOutcome::Applied
-        } else {
-            PassOutcome::Skipped
-        })
+        let rewrite = crate::reduction::rewrite_reduction(state, self.elems)
+            .map_err(|cause| PassError::rejected("reduction", cause))?;
+        self.rewrite = Some(rewrite);
+        Ok(PassOutcome::Applied)
     }
 }
 
@@ -500,11 +499,13 @@ mod tests {
     }
 
     #[test]
-    fn reduction_pass_skips_non_reductions() {
+    fn reduction_pass_rejects_non_reductions() {
         let mut st = mm_state();
         let mut am = AnalysisManager::new();
         let mut pass = ReductionPass::default();
-        assert_eq!(pass.run(&mut st, &mut am).unwrap(), PassOutcome::Skipped);
+        let err = pass.run(&mut st, &mut am).unwrap_err();
+        assert!(!err.fault);
+        assert!(err.message.contains("pattern"), "{err}");
         assert!(pass.rewrite.is_none());
     }
 }

@@ -60,26 +60,52 @@ struct ReductionPattern {
     len: i64,
 }
 
+/// Why [`rewrite_reduction`] refuses a kernel that is not the gsync-tree
+/// pattern.
+const NOT_A_REDUCTION: &str = "the kernel does not match the __gsync reduction pattern";
+
+/// The default work-per-thread degree for the kernel's reduction:
+/// `len / (PARTIALS · REDUCTION_BLOCK)`, at least 1. `None` when the kernel
+/// does not match the gsync-tree pattern.
+pub fn auto_elems_per_thread(state: &PipelineState) -> Option<i64> {
+    match_pattern(state).map(|p| default_degree(p.len))
+}
+
+fn default_degree(len: i64) -> i64 {
+    (len / (PARTIALS * REDUCTION_BLOCK)).max(1)
+}
+
 /// Attempts the reduction rewrite.
 ///
-/// Returns `None` when the kernel does not match the gsync-tree pattern.
-/// `elems_per_thread` overrides the default work-per-thread choice
-/// (`len / (PARTIALS · REDUCTION_BLOCK)`, at least 1).
+/// `elems_per_thread` overrides the default work-per-thread choice (see
+/// [`auto_elems_per_thread`]).
+///
+/// # Errors
+///
+/// Says why the rewrite was refused: the kernel does not match the
+/// gsync-tree pattern, `len` does not split into whole
+/// [`REDUCTION_BLOCK`]-thread blocks at this degree, or the degree needs
+/// more stage-1 blocks than there are [`PARTIALS`].
 pub fn rewrite_reduction(
     state: &PipelineState,
     elems_per_thread: Option<i64>,
-) -> Option<ReductionRewrite> {
-    let pattern = match_pattern(state)?;
+) -> Result<ReductionRewrite, String> {
+    let pattern = match_pattern(state).ok_or(NOT_A_REDUCTION)?;
     let len = pattern.len;
-    let default_e = (len / (PARTIALS * REDUCTION_BLOCK)).max(1);
-    let e = elems_per_thread.unwrap_or(default_e).max(1);
+    let e = elems_per_thread
+        .unwrap_or_else(|| default_degree(len))
+        .max(1);
     let threads_total = len / e;
     if threads_total * e != len || threads_total % REDUCTION_BLOCK != 0 {
-        return None;
+        return Err(format!(
+            "len {len} does not divide into {REDUCTION_BLOCK}-thread blocks at {e} elements/thread"
+        ));
     }
     let grid = threads_total / REDUCTION_BLOCK;
     if grid > PARTIALS {
-        return None;
+        return Err(format!(
+            "{e} elements/thread needs {grid} blocks, more than the {PARTIALS} partials"
+        ));
     }
 
     // Kernel parameters: the arrays the map expression reads, the partials,
@@ -172,7 +198,11 @@ pub fn rewrite_reduction(
     let (out_array, out_index) = &pattern.output;
     // The detected output array always comes from this kernel's parameter
     // list; if it somehow does not, the rewrite is declined.
-    let out_param = state.kernel.param(out_array)?.clone();
+    let out_param = state
+        .kernel
+        .param(out_array)
+        .ok_or(NOT_A_REDUCTION)?
+        .clone();
     let stage2_params = vec![
         Param::array(&partials, ScalarType::Float, vec![Dim::Const(PARTIALS)]),
         out_param,
@@ -195,7 +225,7 @@ pub fn rewrite_reduction(
     ));
     let stage2 = Kernel::new(format!("{}_stage2", state.kernel.name), stage2_params, body2);
 
-    Some(ReductionRewrite {
+    Ok(ReductionRewrite {
         stage1,
         stage1_launch: LaunchConfig::one_d(grid as u32, REDUCTION_BLOCK as u32),
         stage2,
@@ -442,6 +472,23 @@ mod tests {
         let rw = rewrite_reduction(&st, Some(256)).unwrap();
         assert_eq!(rw.elems_per_thread, 256);
         assert_eq!(rw.stage1_launch.grid_x, 64);
+        assert_eq!(auto_elems_per_thread(&st), Some(64));
+    }
+
+    #[test]
+    fn refusals_name_their_cause() {
+        // 4 Mi elements at 4 per thread need 4096 blocks of 256 threads.
+        let st = state(RD, &[("len", 4 * 1024 * 1024)]);
+        let err = rewrite_reduction(&st, Some(4)).unwrap_err();
+        assert!(
+            err.contains("4096 blocks") && err.contains("256 partials"),
+            "{err}"
+        );
+        let err = rewrite_reduction(&st, Some(3)).unwrap_err();
+        assert!(
+            err.contains("does not divide into 256-thread blocks"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -450,7 +497,9 @@ mod tests {
             "__global__ void cp(float a[n], float c[n], int n) { c[idx] = a[idx]; }",
             &[("n", 1024)],
         );
-        assert!(rewrite_reduction(&st, None).is_none());
+        let err = rewrite_reduction(&st, None).unwrap_err();
+        assert!(err.contains("pattern"), "{err}");
+        assert_eq!(auto_elems_per_thread(&st), None);
     }
 
     #[test]
@@ -469,7 +518,7 @@ mod tests {
             }
         "#;
         let st = state(src, &[("len", 1024)]);
-        assert!(rewrite_reduction(&st, None).is_none());
+        assert!(rewrite_reduction(&st, None).is_err());
     }
 
     #[test]
@@ -485,6 +534,6 @@ mod tests {
             }
         "#;
         let st = state(src, &[("len", 1000)]);
-        assert!(rewrite_reduction(&st, None).is_none());
+        assert!(rewrite_reduction(&st, None).is_err());
     }
 }

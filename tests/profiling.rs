@@ -6,7 +6,7 @@
 
 use gpgpu::ast::parse_kernel;
 use gpgpu::core::trace::{parse_json, schema_supported, SCHEMA, SCHEMA_V1};
-use gpgpu::core::{compile, fault, CompileOptions, Histogram, Json};
+use gpgpu::core::{compile, fault, CompileOptions, Histogram, Json, TraceEvent};
 use gpgpu::service::{CompileRequest, Engine, ServiceConfig};
 use gpgpu::sim::MachineDesc;
 use proptest::prelude::*;
@@ -22,6 +22,15 @@ const MV: &str = "__global__ void mv(float a[n][w], float b[w], float c[n], int 
     float sum = 0.0f;
     for (int i = 0; i < w; i = i + 1) { sum += a[idx][i] * b[i]; }
     c[idx] = sum;
+}";
+
+const RD: &str = "#pragma gpgpu output c
+__global__ void rd(float a[len], float c[1], int len) {
+    for (int s = len / 2; s > 0; s = s >> 1) {
+        if (idx < s) { a[idx] = a[idx] + a[idx + s]; }
+        __gsync();
+    }
+    if (idx == 0) { c[0] = a[0]; }
 }";
 
 fn mm_opts(n: i64) -> CompileOptions {
@@ -160,38 +169,72 @@ fn span_stack_balances_when_one_candidate_panics() {
 
 /// A clean compile produces a hierarchy: a single root span covering the
 /// whole compilation whose duration bounds every child, pass spans under
-/// it, and an aggregate table consistent with the raw records.
+/// it, one `explore` span holding one `candidate:<label>` span per design
+/// point, and an aggregate table consistent with the raw records. A merge
+/// space (mm) and a reduction space (rd) report alike.
 #[test]
 fn clean_compile_span_tree_is_well_formed() {
     let _lock = FAULT_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let k = parse_kernel(MM).unwrap();
-    let compiled = compile(&k, &mm_opts(128)).unwrap();
-    let spans = compiled.profiler.spans();
-    assert_eq!(compiled.profiler.open_spans(), 0);
+    let cases = [
+        (MM, mm_opts(128)),
+        (RD, CompileOptions::new(MachineDesc::gtx280()).bind("len", 65536)),
+    ];
+    for (src, opts) in cases {
+        let k = parse_kernel(src).unwrap();
+        let compiled = compile(&k, &opts).unwrap();
+        let spans = compiled.profiler.spans();
+        assert_eq!(compiled.profiler.open_spans(), 0);
 
-    let roots: Vec<_> = spans.iter().filter(|s| s.parent.is_none()).collect();
-    assert_eq!(roots.len(), 1, "expected one root, got {roots:?}");
-    let root = roots[0];
-    assert!(root.name.starts_with("compile:"), "root is {}", root.name);
-    let root_end = root.start_us + root.micros();
-    for s in &spans {
-        assert!(s.start_us >= root.start_us, "span `{}` starts before root", s.name);
+        let roots: Vec<_> = spans.iter().filter(|s| s.parent.is_none()).collect();
+        assert_eq!(roots.len(), 1, "expected one root, got {roots:?}");
+        let root = roots[0];
+        assert!(root.name.starts_with("compile:"), "root is {}", root.name);
+        let root_end = root.start_us + root.micros();
+        for s in &spans {
+            assert!(s.start_us >= root.start_us, "span `{}` starts before root", s.name);
+            assert!(
+                s.start_us + s.micros() <= root_end,
+                "span `{}` outlives the root",
+                s.name
+            );
+        }
         assert!(
-            s.start_us + s.micros() <= root_end,
-            "span `{}` outlives the root",
-            s.name
+            spans.iter().any(|s| s.category == "pass"),
+            "{}: no pass spans recorded",
+            k.name
         );
-    }
-    assert!(
-        spans.iter().any(|s| s.category == "pass"),
-        "no pass spans recorded"
-    );
 
-    let agg = compiled.profiler.aggregate_by_name();
-    let total_count: u64 = agg.iter().map(|(_, c, _)| c).sum();
-    assert_eq!(total_count, spans.len() as u64);
-    for w in agg.windows(2) {
-        assert!(w[0].2 >= w[1].2, "aggregate not sorted by total time");
+        // One explorer span, one candidate span per evaluated or rejected
+        // point, and one `candidate_micros` sample per point.
+        let explores: Vec<_> = spans
+            .iter()
+            .filter(|s| s.name == "explore" && s.parent == Some(root.id))
+            .collect();
+        assert_eq!(explores.len(), 1, "{}: explore spans {explores:?}", k.name);
+        let points = compiled
+            .trace
+            .events()
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::CandidateEvaluated { .. }))
+            .count();
+        assert!(points > 1, "{}: {points} point(s)", k.name);
+        let candidates = spans
+            .iter()
+            .filter(|s| s.parent == Some(explores[0].id) && s.name.starts_with("candidate:"))
+            .count();
+        assert_eq!(candidates, points, "{}: candidate spans", k.name);
+        let micros = compiled
+            .metrics
+            .histogram("candidate_micros")
+            .expect("candidate_micros histogram");
+        assert_eq!(micros.count(), points as u64, "{}: candidate_micros", k.name);
+
+        let agg = compiled.profiler.aggregate_by_name();
+        let total_count: u64 = agg.iter().map(|(_, c, _)| c).sum();
+        assert_eq!(total_count, spans.len() as u64);
+        for w in agg.windows(2) {
+            assert!(w[0].2 >= w[1].2, "aggregate not sorted by total time");
+        }
     }
 }
 
