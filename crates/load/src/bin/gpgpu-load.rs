@@ -1,7 +1,7 @@
 //! `gpgpu-load` — the serve-under-fire CLI.
 //!
-//! Runs the seeded open-loop chaos mix against the in-process sharded
-//! engine and (with `--serve PATH`) the real `gpgpuc serve` binary, prints
+//! Runs the seeded open-loop chaos mix against the in-process engine
+//! front and (with `--serve PATH`) the real `gpgpuc serve` binary, prints
 //! a per-class outcome table, and writes the `BENCH_serve.json` snapshot
 //! the CI `load-smoke` job asserts against.
 //!

@@ -29,9 +29,10 @@ pub struct LoadConfig {
     pub tight_deadline_ms: u64,
     /// Relative class weights.
     pub mix: Mix,
-    /// Engine shape (workers feed per-shard queues of this capacity).
+    /// Engine shape; `queue_capacity` × `shards.shards` is the size of
+    /// the front's one queue.
     pub service: ServiceConfig,
-    /// Shard router shape.
+    /// Front shape: the worker-count multiplier and admission control.
     pub shards: ShardConfig,
 }
 

@@ -6,9 +6,10 @@
 //! [`CachedArtifact`]. The disk layout is versioned by path — entries live
 //! under `<root>/v3/<fingerprint>.json` where `v3` derives from
 //! [`gpgpu_core::CACHE_SCHEMA`] — so a format bump changes the directory
-//! and every stale entry is orphaned rather than misread; each file
-//! additionally embeds the schema tag and its own fingerprint, and a file
-//! that fails either check is deleted and treated as a miss.
+//! and every stale entry is orphaned rather than misread. Each file holds
+//! one checksummed [`durable::frame`] around the compact artifact JSON,
+//! which embeds the schema tag and its own fingerprint; a file that fails
+//! the frame or either check is deleted and treated as a miss.
 
 use gpgpu_core::{CachedArtifact, CACHE_SCHEMA};
 use gpgpu_tuning::durable;
@@ -73,8 +74,8 @@ impl MemoryCache {
     }
 }
 
-/// The persistent store: one pretty-printed JSON artifact per fingerprint
-/// under a schema-versioned directory.
+/// The persistent store: one framed JSON artifact per fingerprint under a
+/// schema-versioned directory.
 struct DiskCache {
     dir: PathBuf,
 }
@@ -94,10 +95,11 @@ impl DiskCache {
         self.dir.join(format!("{fingerprint}.json"))
     }
 
-    /// Loads an entry; a missing, unreadable, mis-schema'd or
-    /// wrong-fingerprint file is a miss (corrupt files are deleted — a
-    /// *self-heal*, reported through [`DiskFault::healed`] so the engine
-    /// can count it).
+    /// Loads an entry; a missing, unreadable, unframed, mis-schema'd or
+    /// wrong-fingerprint file is a miss (corrupt files — including a
+    /// garble inside a JSON string, which only the frame's checksum
+    /// catches — are deleted: a *self-heal*, reported through
+    /// [`DiskFault::healed`] so the engine can count it).
     fn load(&self, fingerprint: &str) -> Result<Option<CachedArtifact>, DiskFault> {
         let path = self.path_for(fingerprint);
         // Under `GPGPU_FAULT=io:corrupt-read` the bytes come back garbled,
@@ -114,7 +116,10 @@ impl DiskCache {
         };
         let parsed = String::from_utf8(bytes)
             .map_err(|e| e.to_string())
-            .and_then(|text| gpgpu_trace::parse_json(&text).map_err(|e| e.to_string()))
+            .and_then(|text| {
+                let payload = durable::unframe(text.strip_suffix('\n').unwrap_or(&text))?;
+                gpgpu_trace::parse_json(payload).map_err(|e| e.to_string())
+            })
             .and_then(|doc| CachedArtifact::from_json(&doc));
         match parsed {
             Ok(artifact) if artifact.fingerprint == fingerprint => Ok(Some(artifact)),
@@ -152,7 +157,7 @@ impl DiskCache {
             artifact.fingerprint,
             std::process::id()
         ));
-        let payload = artifact.to_json().pretty();
+        let payload = durable::frame(&artifact.to_json().compact());
         File::create(&tmp)
             .and_then(|mut f| durable::faultable_write(&mut f, payload.as_bytes()))
             .and_then(|()| durable::faultable_rename(&tmp, &path))
@@ -322,23 +327,32 @@ mod tests {
     fn corrupt_and_mismatched_disk_entries_are_deleted_misses() {
         let dir = std::env::temp_dir().join(format!("gpgpu-cache-bad-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut cache = CompileCache::new(4, Some(&dir)).unwrap();
         let vdir = dir.join("v3");
-        std::fs::write(vdir.join("0bad.json"), "not json at all").unwrap();
-        let probe = cache.get("0bad");
-        assert_eq!(probe.outcome, CacheOutcome::Miss);
-        assert!(probe.disk_error.as_ref().is_some_and(|f| f.healed));
-        assert!(!vdir.join("0bad.json").exists(), "corrupt entry deleted");
-        // A valid file stored under the wrong fingerprint is also refused.
-        std::fs::write(
-            vdir.join("yyyy.json"),
-            artifact("xxxx", "S").to_json().pretty(),
-        )
-        .unwrap();
-        let probe = cache.get("yyyy");
-        assert_eq!(probe.outcome, CacheOutcome::Miss);
-        assert!(probe.disk_error.as_ref().is_some_and(|f| f.healed));
-        assert!(!vdir.join("yyyy.json").exists());
+        // A memory layer of 0: every probe reads the disk.
+        let cache = || CompileCache::new(0, Some(&dir)).unwrap();
+        let entry = |fp: &str| vdir.join(format!("{fp}.json"));
+        cache().put(&artifact("5eed", "float sum = 0.0f;"));
+        let stored = std::fs::read_to_string(entry("5eed")).unwrap();
+        let rows = [
+            ("0bad", "not json at all".to_string()),
+            // One letter garbled inside a JSON string: still valid JSON,
+            // so only the checksum can refuse it.
+            ("5eed", stored.replace("sum", "sun")),
+            // A valid artifact from before entries were framed.
+            ("01d0", artifact("01d0", "S").to_json().pretty()),
+            // A valid frame stored under the wrong fingerprint.
+            (
+                "yyyy",
+                durable::frame(&artifact("xxxx", "S").to_json().compact()),
+            ),
+        ];
+        for (fp, contents) in rows {
+            std::fs::write(entry(fp), contents).unwrap();
+            let probe = cache().get(fp);
+            assert_eq!(probe.outcome, CacheOutcome::Miss, "{fp}");
+            assert!(probe.disk_error.as_ref().is_some_and(|f| f.healed), "{fp}");
+            assert!(!entry(fp).exists(), "{fp}: corrupt entry deleted");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -11,10 +11,10 @@
 //! into the cache.
 
 use crate::cache::{CacheOutcome, CompileCache, DiskFault};
-use crate::queue::BoundedQueue;
 use crate::request::{
     CacheDisposition, CompileRequest, CompileResponse, ErrorClass, SourceSpec,
 };
+use crate::shard::{Front, Submitted};
 use gpgpu_ast::Kernel;
 use gpgpu_core::{
     CachedArtifact, CompileError, CompileOptions, Json, MetricsRegistry, Profiler, SpanId,
@@ -32,7 +32,8 @@ use std::time::{Duration, Instant};
 pub struct ServiceConfig {
     /// Worker threads for [`Engine::run_batch`].
     pub jobs: usize,
-    /// Bounded request-queue capacity (the backpressure knob).
+    /// Bounded request-queue capacity (the backpressure knob), multiplied
+    /// by [`crate::ShardConfig::shards`] behind a [`crate::ShardedEngine`].
     pub queue_capacity: usize,
     /// In-memory LRU capacity, in artifacts.
     pub cache_entries: usize,
@@ -85,14 +86,12 @@ struct Counters {
     queue_max_depth: u64,
     /// Requests rejected by admission control (`overloaded` responses).
     shed: u64,
-    /// Jobs an idle shard stole from another shard's backlog.
-    steals: u64,
     /// Expired requests swept out of a queue before reaching a worker.
     swept: u64,
     /// Corrupt/mismatched on-disk cache entries deleted (self-heals).
     self_heals: u64,
     /// Requests failed with `deadline` *before* compiling because the
-    /// remaining budget was under the shard's p50 compile estimate.
+    /// remaining budget was under the engine's p50 compile estimate.
     deadline_preempted: u64,
     /// Durable-state writes (compile cache or tuning store) that failed —
     /// the "dying disk" early-warning counter.
@@ -289,7 +288,6 @@ impl Engine {
             ("service_latency_micros_max", c.latency_micros_max),
             ("service_queue_max_depth", c.queue_max_depth),
             ("service_shed_total", c.shed),
-            ("service_steal_total", c.steals),
             ("service_swept_total", c.swept),
             ("service_cache_self_heals", c.self_heals),
             ("service_deadline_preempted", c.deadline_preempted),
@@ -339,6 +337,16 @@ impl Engine {
     /// capacity/high-water, cache hit ratio, and per-class / per-stage
     /// latency histograms with percentile estimates.
     pub fn stats_json(&self) -> Json {
+        let high_water = lock(&self.counters).queue_max_depth;
+        self.stats_with_queue(Json::obj([
+            ("capacity", Json::count(self.config.queue_capacity as u64)),
+            ("high_water", Json::count(high_water)),
+        ]))
+    }
+
+    /// The stats snapshot around a given `stats.queue` block — the one
+    /// the front reads live from its queue.
+    pub(crate) fn stats_with_queue(&self, queue: Json) -> Json {
         let c = lock(&self.counters).clone();
         let hits = c.memory_hits + c.disk_hits;
         let probes = hits + c.misses;
@@ -378,13 +386,7 @@ impl Engine {
                             ("errors", Json::count(c.errors)),
                         ]),
                     ),
-                    (
-                        "queue",
-                        Json::obj([
-                            ("capacity", Json::count(self.config.queue_capacity as u64)),
-                            ("high_water", Json::count(c.queue_max_depth)),
-                        ]),
-                    ),
+                    ("queue", queue),
                     (
                         "cache",
                         Json::obj([
@@ -422,7 +424,6 @@ impl Engine {
                         "overload",
                         Json::obj([
                             ("shed", Json::count(c.shed)),
-                            ("steals", Json::count(c.steals)),
                             ("swept", Json::count(c.swept)),
                             ("deadline_preempted", Json::count(c.deadline_preempted)),
                         ]),
@@ -826,24 +827,19 @@ impl Engine {
         lock(&self.counters).shed += 1;
     }
 
-    /// Books one work-steal (an idle shard draining a hot one's backlog).
-    pub(crate) fn note_steal(&self) {
-        lock(&self.counters).steals += 1;
-    }
-
     /// Books expired requests swept from a queue before dispatch.
     pub(crate) fn note_swept(&self, n: u64) {
         lock(&self.counters).swept += n;
     }
 
-    /// Folds a shard queue's high-water mark into the engine counters.
+    /// Folds the front queue's high-water mark into the engine counters.
     pub(crate) fn note_queue_depth(&self, depth: u64) {
         let mut c = lock(&self.counters);
         c.queue_max_depth = c.queue_max_depth.max(depth);
     }
 
     /// Books a response produced *outside* [`Engine::handle`] — admission
-    /// sheds, queue sweeps, and drain-timeout sheds — so the stats stay
+    /// refusals, queue sweeps, and drain-timeout sheds — so the stats stay
     /// consistent with everything the server emitted.
     pub(crate) fn book_external(&self, resp: &CompileResponse, started: Instant) {
         self.finish(resp, "?", started, None);
@@ -913,65 +909,32 @@ impl Engine {
         );
     }
 
-    /// Runs a whole batch through the worker pool: requests flow through
-    /// the bounded queue to `config.jobs` workers, and the responses come
-    /// back **in request order** regardless of completion order.
+    /// Runs a whole batch through the front's worker loop on this engine:
+    /// `config.jobs` workers drain one queue of `queue_capacity` slots,
+    /// each request blocks for a slot (backpressure, never a shed), and
+    /// the responses come back **in request order** regardless of
+    /// completion order.
     pub fn run_batch(&self, requests: Vec<CompileRequest>) -> Vec<CompileResponse> {
-        let total = requests.len();
-        let jobs = self.config.jobs.max(1).min(total.max(1));
-        let queue: BoundedQueue<(usize, CompileRequest, Instant)> =
-            BoundedQueue::new(self.config.queue_capacity);
-        let results: Mutex<Vec<Option<CompileResponse>>> =
-            Mutex::new((0..total).map(|_| None).collect());
+        let jobs = self.config.jobs.max(1);
+        let front = Front::new(self.config.queue_capacity, jobs);
         std::thread::scope(|scope| {
             for _ in 0..jobs {
-                scope.spawn(|| {
-                    while let Some((index, req, enqueued)) = queue.pop() {
-                        let resp = self.handle(req, enqueued);
-                        lock(&results)[index] = Some(resp);
-                    }
-                });
+                scope.spawn(|| front.serve(self));
             }
-            for (index, req) in requests.into_iter().enumerate() {
-                // Admission short-circuit: a deadline that is already
-                // elapsed at enqueue never reaches a worker (and never
-                // opens a compile span).
-                let enqueued = Instant::now();
-                let limit = req.deadline_ms.or(self.config.default_deadline_ms);
-                if let Some(limit) = limit {
-                    if deadline_expired(limit, 0) {
-                        let resp = CompileResponse::failure(
-                            req.id.clone(),
-                            ErrorClass::Deadline,
-                            format!("deadline of {limit} ms already elapsed at enqueue"),
-                        );
-                        self.book_external(&resp, enqueued);
-                        lock(&results)[index] = Some(resp);
-                        continue;
-                    }
-                }
-                queue.push((index, req, enqueued));
-            }
-            queue.close();
-        });
-        {
-            let mut c = lock(&self.counters);
-            c.queue_max_depth = c.queue_max_depth.max(queue.max_depth() as u64);
-        }
-        let responses: Vec<CompileResponse> = lock(&results)
-            .drain(..)
-            .enumerate()
-            .map(|(index, slot)| {
-                slot.unwrap_or_else(|| {
-                    CompileResponse::failure(
-                        index.to_string(),
-                        ErrorClass::Internal,
-                        "worker exited without a response",
-                    )
-                })
-            })
-            .collect();
-        responses
+            let pending: Vec<(String, Submitted)> = requests
+                .into_iter()
+                .map(|req| (req.id.clone(), front.push(self, req, Instant::now())))
+                .collect();
+            front.close(self);
+            let answer = |(id, submitted): (String, Submitted)| match submitted {
+                Submitted::Rejected(resp) => *resp,
+                Submitted::Queued(rx) => rx.recv().unwrap_or_else(|_| {
+                    let detail = "worker exited without a response";
+                    CompileResponse::failure(id, ErrorClass::Internal, detail)
+                }),
+            };
+            pending.into_iter().map(answer).collect()
+        })
     }
 }
 

@@ -7,32 +7,30 @@
 //! long-lived, concurrent engine behind `gpgpuc batch` and `gpgpuc serve`
 //! (DESIGN.md §5.10).
 //!
-//! Four pieces:
+//! Three pieces:
 //!
 //! - **Content-addressed compile cache** ([`CompileCache`]): requests are
 //!   keyed by [`gpgpu_core::CompileOptions::fingerprint`] — a stable hash
 //!   over the *normalized* kernel source plus every output-determining
 //!   option (machine, bindings, stage set, verify seed). An in-memory LRU
-//!   fronts an optional persistent store under the versioned
-//!   `gpgpu-cache/v1` directory layout; compilation is deterministic, so a
-//!   hit is byte-identical to a cold compile.
-//! - **Bounded work queue + worker pool** ([`BoundedQueue`],
-//!   [`Engine::run_batch`]): plain `std::thread` workers fed through a
-//!   bounded FIFO whose bound *is* the backpressure policy, with
+//!   fronts an optional persistent store under the versioned `<root>/v3/`
+//!   directory layout, one checksummed frame per entry; compilation is
+//!   deterministic, so a hit is byte-identical to a cold compile.
+//! - **One front** ([`ShardedEngine`], DESIGN.md §5.10/§5.12): a single
+//!   bounded queue ([`BoundedQueue`]) drained by one worker loop, with
 //!   per-request deadlines measured from enqueue and `catch_unwind` fault
 //!   containment so one poisoned kernel degrades only its own request.
+//!   Live `serve` traffic meets bounded-wait admission control that sheds
+//!   saturation as structured `overloaded` responses carrying a
+//!   `retry_after_ms` hint, sweeps expired requests before they reach a
+//!   worker, and drains (or sheds) at shutdown; a finite manifest
+//!   (`batch`, [`Engine::run_batch`]) blocks for a slot instead — under
+//!   load every request resolves as a success, a structured error, or an
+//!   `overloaded` hint, and no client is ever blocked indefinitely.
 //! - **NDJSON protocol** ([`CompileRequest`], [`CompileResponse`]): one
 //!   JSON object per line for both batch manifests and the `serve`
 //!   stdin/stdout loop; malformed input becomes a structured
 //!   `bad-request` response, never a crash.
-//! - **Overload-tolerant sharding** ([`ShardedEngine`], DESIGN.md §5.12):
-//!   N shards behind a least-loaded router with work stealing,
-//!   bounded-wait admission control that sheds saturation as structured
-//!   `overloaded` responses carrying a `retry_after_ms` hint, deadline
-//!   sweeping (expired requests never reach a worker), and graceful
-//!   drain-or-shed shutdown — under load every request resolves as a
-//!   success, a structured error, or an `overloaded` hint; no client is
-//!   ever blocked indefinitely.
 //!
 //! Observability rides on the existing subsystems: queue depth, latency
 //! and cache hit/miss/evict counters export as `service_*` globals in a
@@ -48,7 +46,7 @@ mod shard;
 
 pub use cache::{CacheOutcome, CacheProbe, CompileCache, DiskFault};
 pub use engine::{Engine, ServiceConfig};
-pub use queue::{BoundedQueue, PopResult, PushError};
+pub use queue::{BoundedQueue, PushError};
 pub use request::{
     CacheDisposition, CompileRequest, CompileResponse, ErrorClass, ResponseError, SourceSpec,
 };

@@ -1,8 +1,9 @@
 //! A bounded multi-producer/multi-consumer work queue built on `Mutex` +
 //! `Condvar` (no external deps).
 //!
-//! Each engine shard feeds its worker pool through one of these. Three
-//! admission disciplines are offered, from politest to most impatient:
+//! The engine's one front feeds its worker pool through one of these.
+//! Three admission disciplines are offered, from politest to most
+//! impatient:
 //!
 //! - [`BoundedQueue::push`] blocks until a slot frees (classic
 //!   backpressure; a huge manifest never balloons resident memory);
@@ -16,10 +17,9 @@
 //! depth that a concurrent push has not yet booked (the pre-shard code
 //! read the depth racily around the condvar wait).
 //!
-//! Consumers get the matching trio ([`BoundedQueue::pop`],
-//! [`BoundedQueue::pop_timeout`], [`BoundedQueue::try_pop`] — the last is
-//! how an idle shard steals work) plus [`BoundedQueue::drain_matching`],
-//! which the deadline sweeper uses to evict expired requests without
+//! Workers take items with the blocking [`BoundedQueue::pop`]; the
+//! deadline sweeper and the drain-timeout shed use
+//! [`BoundedQueue::drain_matching`] to evict queued requests without
 //! letting them reach a worker.
 
 use std::collections::VecDeque;
@@ -32,17 +32,6 @@ pub enum PushError {
     /// The queue was at capacity for the whole admission window.
     Full,
     /// The queue was closed; it will never accept again.
-    Closed,
-}
-
-/// What a bounded-wait pop observed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PopResult<T> {
-    /// An item was dequeued.
-    Item(T),
-    /// The queue stayed empty for the whole wait (but remains open).
-    Empty,
-    /// The queue is closed *and* drained — the worker's exit signal.
     Closed,
 }
 
@@ -185,43 +174,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Dequeues the next item without blocking — how an idle shard steals
-    /// from a hot one's backlog. `None` when empty (closed or not).
-    pub fn try_pop(&self) -> Option<T> {
-        let mut st = self.lock();
-        let item = st.items.pop_front()?;
-        drop(st);
-        self.not_full.notify_one();
-        Some(item)
-    }
-
-    /// Dequeues the next item, waiting at most `wait`. Distinguishes a
-    /// quiet-but-open queue (`Empty`, so the worker can go steal) from a
-    /// closed-and-drained one (`Closed`, the exit signal).
-    pub fn pop_timeout(&self, wait: Duration) -> PopResult<T> {
-        let deadline = std::time::Instant::now() + wait;
-        let mut st = self.lock();
-        loop {
-            if let Some(item) = st.items.pop_front() {
-                drop(st);
-                self.not_full.notify_one();
-                return PopResult::Item(item);
-            }
-            if st.closed {
-                return PopResult::Closed;
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return PopResult::Empty;
-            }
-            let (guard, _timeout) = self
-                .not_empty
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(|p| p.into_inner());
-            st = guard;
-        }
-    }
-
     /// Removes and returns every queued item matching `pred`, preserving
     /// the relative order of survivors — the deadline sweeper's primitive
     /// (expired requests leave the queue without reaching a worker).
@@ -251,11 +203,6 @@ impl<T> BoundedQueue<T> {
         self.lock().closed = true;
         self.not_empty.notify_all();
         self.not_full.notify_all();
-    }
-
-    /// Whether the queue has been closed.
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
     }
 
     /// Number of items currently queued (racy by nature — a routing hint,
@@ -298,7 +245,7 @@ mod tests {
         // Full: the item comes back immediately, no blocking.
         assert_eq!(q.try_push(3), Err((3, PushError::Full)));
         assert_eq!(q.depth(), 2);
-        assert_eq!(q.try_pop(), Some(1));
+        assert_eq!(q.pop(), Some(1));
         assert_eq!(q.try_push(3), Ok(()));
         assert_eq!(q.max_depth(), 2, "high-water tracked on try_push too");
     }
@@ -331,19 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_timeout_distinguishes_empty_from_closed() {
-        let q: BoundedQueue<i32> = BoundedQueue::new(2);
-        assert_eq!(q.pop_timeout(Duration::from_millis(5)), PopResult::Empty);
-        assert!(q.push(7));
-        assert_eq!(
-            q.pop_timeout(Duration::from_millis(5)),
-            PopResult::Item(7)
-        );
-        q.close();
-        assert_eq!(q.pop_timeout(Duration::from_millis(5)), PopResult::Closed);
-    }
-
-    #[test]
     fn drain_matching_evicts_in_place_and_keeps_order() {
         let q = BoundedQueue::new(8);
         for i in 0..6 {
@@ -371,7 +305,7 @@ mod tests {
         // Blocks until the sweeper frees the slot.
         assert!(q.push(1));
         assert_eq!(sweeper.join().unwrap(), vec![0]);
-        assert_eq!(q.pop_timeout(Duration::from_millis(5)), PopResult::Item(1));
+        assert_eq!(q.pop(), Some(1));
     }
 
     #[test]

@@ -1,55 +1,52 @@
-//! The sharded, overload-tolerant front of the engine: N shards (each its
-//! own bounded queue + worker pool) behind a least-loaded router, with
-//! work stealing, bounded-wait admission control, deadline sweeping, and
-//! graceful shutdown (DESIGN.md §5.12).
+//! The one front of the engine (DESIGN.md §5.12): a single bounded queue
+//! drained by one worker loop, shared by every caller that queues work.
 //!
-//! All shards share one [`Engine`] — and therefore one compile cache, one
-//! counter block, and one histogram registry — so telemetry and cache
-//! behavior are identical to the single-queue engine; only the *queueing
-//! discipline* changes:
+//! [`ShardedEngine`] is the front `gpgpuc serve` and `gpgpuc batch` run;
+//! [`Engine::run_batch`] runs the same [`Front`] over a borrowed engine.
+//! Either way every worker runs [`Front::serve`], the only place queued
+//! work reaches [`Engine::handle`]. [`ShardConfig::shards`] is only a
+//! multiplier: the front runs `shards × workers_per_shard` workers over
+//! one queue of `shards × queue_capacity` slots.
 //!
-//! - **Routing** tries shards in ascending backlog order
-//!   (queued + in-flight) at submit time, so a request lands on the
-//!   least-loaded shard that will still take it and is never shed while a
-//!   sibling has a free slot.
-//! - **Admission control** never blocks a client indefinitely. With a
-//!   watermark below 1.0, a shard past that fill fraction stops accepting
-//!   early; once every shard has refused, the request is shed with a
-//!   structured `overloaded` response carrying `retry_after_ms` (derived
-//!   from the shard's observed service rate). At hard capacity the
-//!   submitter first sweeps expired requests out of the least-loaded
-//!   queue, then waits a *bounded* interval for a slot, then sheds.
-//! - **Work stealing**: a worker whose own queue stays empty for a beat
-//!   pops from the deepest sibling queue instead, so one hot shard cannot
-//!   strand idle capacity (`service_steal_total`).
-//! - **Shutdown** closes every queue, then either drains everything
-//!   (default — matching the pre-shard contract that EOF serves all
-//!   accepted work) or, past an optional drain timeout, sheds whatever is
-//!   still queued as `overloaded` and joins the workers.
+//! Live traffic ([`ShardedEngine::submit`]) is admitted in order:
+//!
+//! 1. a deadline already spent is refused before it reaches the queue;
+//! 2. below a 1.0 watermark, a queue past that fill fraction sheds early;
+//! 3. a free slot admits;
+//! 4. at hard capacity, expired jobs are swept out, then admission waits
+//!    at most `admission_wait_ms` for a slot;
+//! 5. otherwise the request is shed `overloaded`, with a `retry_after_ms`
+//!    hint from the backlog and the observed service time.
+//!
+//! A manifest is backpressure, never a shed: [`ShardedEngine::push`] does
+//! step 1, then blocks for a slot. Shutdown closes the queue and drains
+//! it — or, past an optional drain timeout, sheds whatever is still
+//! queued.
 
 use crate::engine::{deadline_expired, Engine};
-use crate::queue::{BoundedQueue, PushError};
+use crate::queue::BoundedQueue;
 use crate::request::{CompileRequest, CompileResponse, ErrorClass};
+use gpgpu_core::Json;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// Sharding and admission-control knobs, layered over a
-/// [`crate::ServiceConfig`] (whose `queue_capacity` becomes the *per
-/// shard* bound).
+/// The front's shape and admission-control knobs, layered over a
+/// [`crate::ServiceConfig`].
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
-    /// Number of engine shards (each its own queue + workers).
+    /// Multiplier on both the worker count and the engine's
+    /// `queue_capacity`.
     pub shards: usize,
-    /// Worker threads per shard.
+    /// Worker threads per unit of `shards`.
     pub workers_per_shard: usize,
-    /// Fraction of a shard's queue capacity past which admission stops
+    /// Fraction of the queue's capacity past which admission stops
     /// accepting early. At 1.0 (the default) early shedding is disabled:
     /// a full queue is swept of expired requests and waited on for the
     /// bounded admission interval before the request is shed.
     pub admission_watermark: f64,
-    /// How long admission may wait for a slot when the chosen queue is at
-    /// hard capacity before shedding, in milliseconds. This bounds the
+    /// How long admission may wait for a slot when the queue is at hard
+    /// capacity before shedding, in milliseconds. This bounds the
     /// worst-case time a client spends blocked on admission.
     pub admission_wait_ms: u64,
 }
@@ -73,34 +70,40 @@ struct Job {
     tx: mpsc::Sender<CompileResponse>,
 }
 
-/// Per-shard state shared between the router and the shard's workers.
-struct Shard {
+/// One bounded queue and the gauges its workers keep.
+pub(crate) struct Front {
     queue: BoundedQueue<Job>,
-    /// Jobs currently inside a worker (picked but not yet responded).
+    /// Workers draining the queue — the `retry_after_ms` divisor.
+    workers: usize,
+    /// Jobs currently inside a worker (popped but not yet answered).
     inflight: AtomicUsize,
-    /// Jobs this shard's workers completed (including stolen ones).
-    served: AtomicU64,
-    /// Jobs this shard's workers stole from sibling queues.
-    stolen: AtomicU64,
     /// EWMA of observed per-job service time, in microseconds — the
     /// basis of the `retry_after_ms` hint. 0 until the first sample.
     ewma_service_us: AtomicU64,
 }
 
-impl Shard {
-    fn new(capacity: usize) -> Shard {
-        Shard {
+impl Front {
+    /// A front of `capacity` queue slots drained by `workers` workers.
+    pub(crate) fn new(capacity: usize, workers: usize) -> Front {
+        Front {
             queue: BoundedQueue::new(capacity),
+            workers: workers.max(1),
             inflight: AtomicUsize::new(0),
-            served: AtomicU64::new(0),
-            stolen: AtomicU64::new(0),
             ewma_service_us: AtomicU64::new(0),
         }
     }
 
-    /// Queued + in-flight — the router's load figure.
-    fn backlog(&self) -> usize {
-        self.queue.depth() + self.inflight.load(Ordering::Relaxed)
+    /// The worker loop: serve jobs until the queue is closed and drained.
+    pub(crate) fn serve(&self, engine: &Engine) {
+        while let Some(job) = self.queue.pop() {
+            self.inflight.fetch_add(1, Ordering::Relaxed);
+            let started = Instant::now();
+            let resp = engine.handle(job.req, job.enqueued);
+            self.observe_service_time(started.elapsed().as_micros() as u64);
+            self.inflight.fetch_sub(1, Ordering::Relaxed);
+            // A client that gave up (dropped the receiver) is not an error.
+            let _ = job.tx.send(resp);
+        }
     }
 
     fn observe_service_time(&self, micros: u64) {
@@ -114,228 +117,96 @@ impl Shard {
         };
         self.ewma_service_us.store(new, Ordering::Relaxed);
     }
-}
 
-struct Inner {
-    engine: Arc<Engine>,
-    shards: Vec<Shard>,
-    config: ShardConfig,
-}
-
-/// What [`ShardedEngine::submit`] did with a request.
-pub enum Submitted {
-    /// Admitted: the response arrives on this receiver when a worker
-    /// finishes (or when a sweep/shutdown sheds the job).
-    Queued(mpsc::Receiver<CompileResponse>),
-    /// Refused at admission — an `overloaded` shed (with `retry_after_ms`)
-    /// or an already-expired `deadline`. Already booked into the engine
-    /// stats; just deliver it.
-    Rejected(Box<CompileResponse>),
-}
-
-/// N engine shards behind a least-loaded router with work stealing and
-/// shed-instead-of-stall admission control.
-pub struct ShardedEngine {
-    inner: Arc<Inner>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl ShardedEngine {
-    /// Starts `config.shards` shards, each with its own queue (capacity =
-    /// the engine's `queue_capacity`) and `config.workers_per_shard`
-    /// workers, all serving through the shared `engine`.
-    pub fn start(engine: Arc<Engine>, config: ShardConfig) -> ShardedEngine {
-        let mut config = config;
-        config.shards = config.shards.max(1);
-        config.workers_per_shard = config.workers_per_shard.max(1);
-        config.admission_watermark = config.admission_watermark.clamp(0.0, 1.0);
-        let capacity = engine.config().queue_capacity;
-        let shards: Vec<Shard> = (0..config.shards).map(|_| Shard::new(capacity)).collect();
-        let inner = Arc::new(Inner {
-            engine,
-            shards,
-            config,
-        });
-        let mut workers = Vec::new();
-        for shard_index in 0..inner.config.shards {
-            for _ in 0..inner.config.workers_per_shard {
-                let inner = Arc::clone(&inner);
-                workers.push(std::thread::spawn(move || worker_loop(&inner, shard_index)));
-            }
-        }
-        ShardedEngine { inner, workers }
+    /// Queued + in-flight.
+    fn backlog(&self) -> usize {
+        self.queue.depth() + self.inflight.load(Ordering::Relaxed)
     }
 
-    /// The shared engine (cache, counters, profiler).
-    pub fn engine(&self) -> &Arc<Engine> {
-        &self.inner.engine
-    }
-
-    /// Submits one parsed request. Never blocks longer than the bounded
-    /// admission wait: the request is either queued (response later via
-    /// the receiver) or rejected right now with a structured response.
-    ///
-    /// `enqueued` anchors the request's deadline (pass the time the line
-    /// was *read* so deadlines cover any front-end backlog).
-    pub fn submit(&self, req: CompileRequest, enqueued: Instant) -> Submitted {
-        let inner = &*self.inner;
-        let deadline_ms = req
-            .deadline_ms
-            .or(inner.engine.config().default_deadline_ms);
-
-        // Deadline short-circuit: a budget that is already spent at
-        // admission never reaches a queue, a worker, or a compile span.
+    /// Admission step 1, shared by every push: a budget already spent
+    /// never reaches the queue, a worker, or a compile span. Otherwise
+    /// the request becomes a job and its response channel.
+    fn admit(
+        &self,
+        engine: &Engine,
+        req: CompileRequest,
+        enqueued: Instant,
+    ) -> Result<(Job, mpsc::Receiver<CompileResponse>), Submitted> {
+        let deadline_ms = req.deadline_ms.or(engine.config().default_deadline_ms);
         if let Some(limit) = deadline_ms {
-            let waited = enqueued.elapsed().as_millis() as u64;
-            if deadline_expired(limit, waited) {
+            if deadline_expired(limit, enqueued.elapsed().as_millis() as u64) {
                 let resp = CompileResponse::failure(
                     req.id,
                     ErrorClass::Deadline,
                     format!("deadline of {limit} ms already elapsed at admission"),
                 );
-                inner.engine.book_external(&resp, enqueued);
-                return Submitted::Rejected(Box::new(resp));
+                engine.book_external(&resp, enqueued);
+                return Err(Submitted::Rejected(Box::new(resp)));
             }
         }
-
-        // Admission tries every shard, least-loaded first — a request is
-        // shed only after no queue anywhere would take it, so the shed
-        // message's "all N shard queue(s)" claim is literally checked.
-        let mut order: Vec<usize> = (0..inner.shards.len()).collect();
-        order.sort_by_key(|&i| inner.shards[i].backlog());
-
         let (tx, rx) = mpsc::channel();
-        let mut job = Job {
+        let job = Job {
             req,
             enqueued,
             deadline_ms,
             tx,
         };
-        let mut hit_hard_capacity = false;
-        for &shard_index in &order {
-            let shard = &inner.shards[shard_index];
-            // Watermark check: a watermark below 1.0 stops accepting
-            // *before* hard capacity, keeping headroom for the sweeper and
-            // answering saturation with a hint instead of a stall. At
-            // exactly 1.0 the watermark coincides with hard capacity, so
-            // the check is skipped and a full queue falls through to the
-            // sweep + bounded-wait path below.
-            if inner.config.admission_watermark < 1.0 {
-                let capacity = shard.queue.capacity();
-                let watermark_slots =
-                    ((capacity as f64) * inner.config.admission_watermark).ceil() as usize;
-                if shard.queue.depth() >= watermark_slots.max(1) {
-                    continue;
-                }
-            }
-            // Fast path: a free slot right now.
-            job = match shard.queue.try_push(job) {
-                Ok(()) => return Submitted::Queued(rx),
-                Err((job, PushError::Closed)) => {
-                    let resp = self.shutdown_shed(job.req.id.clone(), enqueued);
-                    return Submitted::Rejected(Box::new(resp));
-                }
-                Err((job, PushError::Full)) => {
-                    hit_hard_capacity = true;
-                    job
-                }
-            };
-        }
-        // Every shard refused. Past a sub-1.0 watermark with no queue at
-        // hard capacity, shed immediately — early shedding is exactly what
-        // the watermark asks for.
-        let shard_index = order.first().copied().unwrap_or(0);
-        if !hit_hard_capacity {
-            return Submitted::Rejected(Box::new(self.shed(
-                job.req,
-                enqueued,
-                shard_index,
-                "past the admission watermark",
-            )));
-        }
-        // Hard capacity: sweep expired requests out of the least-loaded
-        // queue first — they were going to fail anyway, and each one freed
-        // is a slot a live request can take — then wait a bounded interval
-        // for a slot before shedding.
-        self.sweep_expired(shard_index);
-        let wait = Duration::from_millis(inner.config.admission_wait_ms);
-        match inner.shards[shard_index].queue.push_timeout(job, wait) {
-            Ok(()) => Submitted::Queued(rx),
-            Err((job, PushError::Closed)) => {
-                let resp = self.shutdown_shed(job.req.id.clone(), enqueued);
-                Submitted::Rejected(Box::new(resp))
-            }
-            Err((job, PushError::Full)) => Submitted::Rejected(Box::new(self.shed(
-                job.req,
-                enqueued,
-                shard_index,
-                "at hard capacity through the bounded admission wait",
-            ))),
-        }
+        Ok((job, rx))
     }
 
-    /// Builds, books, and counts one `overloaded` shed. `why` names the
-    /// refusal every shard actually gave (watermark vs hard capacity).
-    fn shed(
+    /// The manifest push: admission step 1, then block for a slot.
+    ///
+    /// Only the front's owner closes the queue, once it has stopped
+    /// pushing (`ShardedEngine`'s drop, or `run_batch` after its last
+    /// push), so no push meets a closed queue.
+    pub(crate) fn push(
         &self,
+        engine: &Engine,
         req: CompileRequest,
         enqueued: Instant,
-        shard_index: usize,
-        why: &str,
-    ) -> CompileResponse {
-        let inner = &*self.inner;
-        let hint = self.retry_after_ms(shard_index);
-        let resp = CompileResponse::overloaded(
-            req.id,
-            format!(
-                "all {} shard queue(s) {why}; retry after the hint",
-                inner.config.shards
-            ),
-            hint,
-        );
-        inner.engine.note_shed();
-        inner.engine.book_external(&resp, enqueued);
-        resp
+    ) -> Submitted {
+        let (job, rx) = match self.admit(engine, req, enqueued) {
+            Ok(admitted) => admitted,
+            Err(refused) => return refused,
+        };
+        self.queue.push(job);
+        Submitted::Queued(rx)
     }
 
-    /// The shed during shutdown: the queue is closed, not saturated, so
-    /// the hint is the drain horizon rather than the service rate.
-    fn shutdown_shed(&self, id: String, enqueued: Instant) -> CompileResponse {
-        let resp =
-            CompileResponse::overloaded(id, "server is shutting down; resubmit elsewhere", 1000);
-        self.inner.engine.note_shed();
-        self.inner.engine.book_external(&resp, enqueued);
-        resp
+    /// Books and returns one `overloaded` shed. `why` names the refusal.
+    fn shed(&self, engine: &Engine, job: Job, why: &str) -> Submitted {
+        let detail = format!("queue {why}; retry after the hint");
+        let resp = CompileResponse::overloaded(job.req.id, detail, self.retry_after_ms());
+        engine.note_shed();
+        engine.book_external(&resp, job.enqueued);
+        Submitted::Rejected(Box::new(resp))
     }
 
-    /// The backoff hint for a shed on `shard_index`: how long the backlog
-    /// ahead should take to drain at the observed per-worker service
-    /// rate, clamped to [1 ms, 30 s]. Before any service-time sample
-    /// exists the hint is a flat 50 ms.
-    fn retry_after_ms(&self, shard_index: usize) -> u64 {
-        let inner = &*self.inner;
-        let shard = &inner.shards[shard_index];
-        let ewma_us = match shard.ewma_service_us.load(Ordering::Relaxed) {
+    /// The backoff hint for a shed: how long the backlog ahead should
+    /// take to drain at the observed per-worker service rate, clamped to
+    /// [1 ms, 30 s]. Before any service-time sample exists the hint is a
+    /// flat 50 ms.
+    fn retry_after_ms(&self) -> u64 {
+        let ewma_us = match self.ewma_service_us.load(Ordering::Relaxed) {
             0 => return 50,
             us => us,
         };
-        let backlog = shard.backlog() as u64;
-        let per_worker = backlog / inner.config.workers_per_shard as u64 + 1;
+        let per_worker = self.backlog() as u64 / self.workers as u64 + 1;
         (per_worker.saturating_mul(ewma_us) / 1000).clamp(1, 30_000)
     }
 
-    /// Sweeps expired requests out of one shard's queue, answering each
-    /// with a `deadline` failure — no worker ever sees them.
-    fn sweep_expired(&self, shard_index: usize) {
-        let inner = &*self.inner;
-        let expired = inner.shards[shard_index].queue.drain_matching(|job| {
-            job.deadline_ms
-                .is_some_and(|limit| deadline_expired(limit, job.enqueued.elapsed().as_millis() as u64))
+    /// Sweeps expired requests out of the queue, answering each with a
+    /// `deadline` failure — no worker ever sees them.
+    fn sweep_expired(&self, engine: &Engine) {
+        let expired = self.queue.drain_matching(|job| {
+            job.deadline_ms.is_some_and(|limit| {
+                deadline_expired(limit, job.enqueued.elapsed().as_millis() as u64)
+            })
         });
         if expired.is_empty() {
             return;
         }
-        inner.engine.note_swept(expired.len() as u64);
+        engine.note_swept(expired.len() as u64);
         for job in expired {
             let limit = job.deadline_ms.unwrap_or(0);
             let resp = CompileResponse::failure(
@@ -346,181 +217,188 @@ impl ShardedEngine {
                     job.enqueued.elapsed().as_millis()
                 ),
             );
-            inner.engine.book_external(&resp, job.enqueued);
+            engine.book_external(&resp, job.enqueued);
             let _ = job.tx.send(resp);
         }
     }
 
-    /// Live per-shard depths (queued, in-flight) — the router's view, for
-    /// tests and telemetry.
-    pub fn shard_depths(&self) -> Vec<(usize, usize)> {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| {
-                (
-                    s.queue.depth(),
-                    s.inflight.load(Ordering::Relaxed),
-                )
-            })
-            .collect()
+    /// Stops admission (workers drain what is queued, then exit) and
+    /// folds the queue's high-water mark into `service_queue_max_depth`.
+    pub(crate) fn close(&self, engine: &Engine) {
+        self.queue.close();
+        engine.note_queue_depth(self.queue.max_depth() as u64);
     }
 
-    /// The engine stats snapshot with the shard table spliced in:
-    /// `stats.shards` gains one row per shard (depth, high-water,
-    /// in-flight, served, stolen, EWMA service time).
-    pub fn stats_json(&self) -> gpgpu_core::Json {
-        use gpgpu_core::Json;
-        let rows: Vec<Json> = self
-            .inner
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                Json::obj([
-                    ("index", Json::count(i as u64)),
-                    ("depth", Json::count(s.queue.depth() as u64)),
-                    ("high_water", Json::count(s.queue.max_depth() as u64)),
-                    (
-                        "inflight",
-                        Json::count(s.inflight.load(Ordering::Relaxed) as u64),
-                    ),
-                    ("served", Json::count(s.served.load(Ordering::Relaxed))),
-                    ("stolen", Json::count(s.stolen.load(Ordering::Relaxed))),
-                    (
-                        "ewma_service_us",
-                        Json::count(s.ewma_service_us.load(Ordering::Relaxed)),
-                    ),
-                ])
+    /// The live `stats.queue` block.
+    fn stats_json(&self) -> Json {
+        Json::obj([
+            ("capacity", Json::count(self.queue.capacity() as u64)),
+            ("depth", Json::count(self.queue.depth() as u64)),
+            ("high_water", Json::count(self.queue.max_depth() as u64)),
+            (
+                "inflight",
+                Json::count(self.inflight.load(Ordering::Relaxed) as u64),
+            ),
+            (
+                "ewma_service_us",
+                Json::count(self.ewma_service_us.load(Ordering::Relaxed)),
+            ),
+        ])
+    }
+}
+
+/// The shed past the drain timeout: the server is going away, not
+/// saturated, so the hint is the drain horizon rather than the service
+/// rate.
+fn shutdown_shed(engine: &Engine, id: String, enqueued: Instant) -> CompileResponse {
+    let resp = CompileResponse::overloaded(id, "server is shutting down; resubmit elsewhere", 1000);
+    engine.note_shed();
+    engine.book_external(&resp, enqueued);
+    resp
+}
+
+/// What [`ShardedEngine::submit`] or [`ShardedEngine::push`] did with a
+/// request.
+pub enum Submitted {
+    /// Admitted: the response arrives on this receiver when a worker
+    /// finishes (or when a sweep/shutdown sheds the job).
+    Queued(mpsc::Receiver<CompileResponse>),
+    /// Refused at admission — an `overloaded` shed (with `retry_after_ms`)
+    /// or an already-expired `deadline`. Already booked into the engine
+    /// stats; just deliver it.
+    Rejected(Box<CompileResponse>),
+}
+
+/// The engine behind its one front: one queue, `shards ×
+/// workers_per_shard` workers, shed-instead-of-stall admission control.
+pub struct ShardedEngine {
+    engine: Arc<Engine>,
+    front: Arc<Front>,
+    config: ShardConfig,
+    workers: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl ShardedEngine {
+    /// Starts `shards × workers_per_shard` workers over one queue of
+    /// `shards ×` the engine's `queue_capacity` slots, all serving
+    /// through the shared `engine`.
+    pub fn start(engine: Arc<Engine>, config: ShardConfig) -> ShardedEngine {
+        let mut config = config;
+        config.shards = config.shards.max(1);
+        config.workers_per_shard = config.workers_per_shard.max(1);
+        config.admission_watermark = config.admission_watermark.clamp(0.0, 1.0);
+        let workers = config.shards * config.workers_per_shard;
+        let capacity = config.shards * engine.config().queue_capacity.max(1);
+        let front = Arc::new(Front::new(capacity, workers));
+        let workers = (0..workers)
+            .map(|_| {
+                let (engine, front) = (Arc::clone(&engine), Arc::clone(&front));
+                std::thread::spawn(move || front.serve(&engine))
             })
             .collect();
-        let mut doc = self.inner.engine.stats_json();
-        if let Json::Obj(pairs) = &mut doc {
-            for (key, value) in pairs.iter_mut() {
-                if key == "stats" {
-                    if let Json::Obj(stats) = value {
-                        stats.push(("shards".to_string(), Json::Arr(rows)));
-                    }
-                    break;
-                }
-            }
-        }
-        doc
-    }
-
-    /// Folds every shard queue's high-water mark into the engine's
-    /// `service_queue_max_depth` counter.
-    fn fold_high_water(&self) {
-        for shard in &self.inner.shards {
-            self.inner
-                .engine
-                .note_queue_depth(shard.queue.max_depth() as u64);
+        ShardedEngine {
+            engine,
+            front,
+            config,
+            workers,
         }
     }
 
-    /// Graceful shutdown: closes every queue so no new work is admitted,
-    /// then drains. With `drain_timeout = None` every accepted request is
-    /// served (the pre-shard EOF contract). With a timeout, whatever is
-    /// still *queued* when it fires is shed as `overloaded` (in-flight
-    /// work always finishes), and the workers are joined either way.
-    pub fn shutdown(mut self, drain_timeout: Option<Duration>) {
-        for shard in &self.inner.shards {
-            shard.queue.close();
-        }
-        if let Some(timeout) = drain_timeout {
-            let deadline = Instant::now() + timeout;
-            loop {
-                let backlog: usize = self.inner.shards.iter().map(|s| s.backlog()).sum();
-                if backlog == 0 {
-                    break;
-                }
-                if Instant::now() >= deadline {
-                    // Drain horizon reached: everything still queued is
-                    // shed with a structured response; nothing is dropped
-                    // silently.
-                    for shard in &self.inner.shards {
-                        for job in shard.queue.drain_matching(|_| true) {
-                            let resp = self.shutdown_shed(job.req.id.clone(), job.enqueued);
-                            let _ = job.tx.send(resp);
-                        }
-                    }
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(1));
+    /// The shared engine (cache, counters, profiler).
+    pub fn engine(&self) -> &Arc<Engine> {
+        &self.engine
+    }
+
+    /// Submits one parsed request of live traffic. Never blocks longer
+    /// than the bounded admission wait: the request is either queued
+    /// (response later via the receiver) or rejected right now with a
+    /// structured response.
+    ///
+    /// `enqueued` anchors the request's deadline (pass the time the line
+    /// was *read* so deadlines cover any front-end backlog).
+    pub fn submit(&self, req: CompileRequest, enqueued: Instant) -> Submitted {
+        let (front, engine) = (&*self.front, &*self.engine);
+        let (job, rx) = match front.admit(engine, req, enqueued) {
+            Ok(admitted) => admitted,
+            Err(refused) => return refused,
+        };
+        // A watermark below 1.0 stops accepting *before* hard capacity,
+        // answering saturation with a hint instead of a stall.
+        let watermark = self.config.admission_watermark;
+        if watermark < 1.0 {
+            let slots = ((front.queue.capacity() as f64) * watermark).ceil() as usize;
+            if front.queue.depth() >= slots.max(1) {
+                return front.shed(engine, job, "past the admission watermark");
             }
         }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        // The queue is never closed under a submit (see `Front::push`),
+        // so a refused push means it is full.
+        let job = match front.queue.try_push(job) {
+            Ok(()) => return Submitted::Queued(rx),
+            Err((job, _)) => job,
+        };
+        // Hard capacity: expired requests were going to fail anyway, and
+        // each one swept is a slot a live request can take.
+        front.sweep_expired(engine);
+        let wait = Duration::from_millis(self.config.admission_wait_ms);
+        match front.queue.push_timeout(job, wait) {
+            Ok(()) => Submitted::Queued(rx),
+            Err((job, _)) => front.shed(
+                engine,
+                job,
+                "at hard capacity through the bounded admission wait",
+            ),
         }
-        self.fold_high_water();
+    }
+
+    /// Pushes one request of a finite manifest: refused only for an
+    /// already-expired deadline, otherwise blocks until a slot frees —
+    /// backpressure, never a shed.
+    pub fn push(&self, req: CompileRequest, enqueued: Instant) -> Submitted {
+        self.front.push(&self.engine, req, enqueued)
+    }
+
+    /// The engine stats snapshot with `stats.queue` read live from this
+    /// front: capacity, depth, high-water, in-flight and EWMA service time.
+    pub fn stats_json(&self) -> Json {
+        self.engine.stats_with_queue(self.front.stats_json())
+    }
+
+    /// Graceful shutdown: drains the queue and joins the workers. With
+    /// `drain_timeout = None` every accepted request is served. With a
+    /// timeout, whatever is still *queued* when it fires is shed as
+    /// `overloaded` (in-flight work always finishes).
+    pub fn shutdown(self, drain_timeout: Option<Duration>) {
+        let Some(timeout) = drain_timeout else {
+            return;
+        };
+        let deadline = Instant::now() + timeout;
+        while self.front.backlog() > 0 {
+            if Instant::now() >= deadline {
+                // Drain horizon reached: everything still queued is shed
+                // with a structured response; nothing is dropped silently.
+                for job in self.front.queue.drain_matching(|_| true) {
+                    let _ = job
+                        .tx
+                        .send(shutdown_shed(&self.engine, job.req.id, job.enqueued));
+                }
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 }
 
 impl Drop for ShardedEngine {
+    /// Closes the queue and joins the workers once they have drained it
+    /// (the end of [`ShardedEngine::shutdown`]), so worker threads never
+    /// outlive the front.
     fn drop(&mut self) {
-        // Belt-and-braces for the non-`shutdown` exit path: close and
-        // join so worker threads never outlive the router.
-        for shard in &self.inner.shards {
-            shard.queue.close();
-        }
+        self.front.close(&self.engine);
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        self.fold_high_water();
     }
-}
-
-/// One worker: serve the home queue; when it goes quiet, steal from the
-/// deepest sibling; exit once every queue is closed and empty.
-fn worker_loop(inner: &Inner, home: usize) {
-    let beat = Duration::from_millis(5);
-    loop {
-        match inner.shards[home].queue.pop_timeout(beat) {
-            crate::queue::PopResult::Item(job) => run_job(inner, home, job, false),
-            crate::queue::PopResult::Empty => {
-                if let Some((victim, job)) = steal(inner, home) {
-                    run_job(inner, victim, job, true);
-                }
-            }
-            crate::queue::PopResult::Closed => {
-                // Home is drained; help siblings finish, then exit.
-                match steal(inner, home) {
-                    Some((victim, job)) => run_job(inner, victim, job, true),
-                    None => return,
-                }
-            }
-        }
-    }
-}
-
-/// Pops from the deepest sibling queue, if any has work.
-fn steal(inner: &Inner, home: usize) -> Option<(usize, Job)> {
-    let victim = inner
-        .shards
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != home)
-        .max_by_key(|(_, s)| s.queue.depth())
-        .filter(|(_, s)| s.queue.depth() > 0)
-        .map(|(i, _)| i)?;
-    let job = inner.shards[victim].queue.try_pop()?;
-    Some((victim, job))
-}
-
-fn run_job(inner: &Inner, shard_index: usize, job: Job, stolen: bool) {
-    let shard = &inner.shards[shard_index];
-    shard.inflight.fetch_add(1, Ordering::Relaxed);
-    if stolen {
-        shard.stolen.fetch_add(1, Ordering::Relaxed);
-        inner.engine.note_steal();
-    }
-    let started = Instant::now();
-    let resp = inner.engine.handle(job.req, job.enqueued);
-    shard.observe_service_time(started.elapsed().as_micros() as u64);
-    shard.served.fetch_add(1, Ordering::Relaxed);
-    shard.inflight.fetch_sub(1, Ordering::Relaxed);
-    // A client that gave up (dropped the receiver) is not an error.
-    let _ = job.tx.send(resp);
 }
 
 #[cfg(test)]
@@ -561,6 +439,13 @@ mod tests {
     #[test]
     fn every_submitted_request_gets_its_response() {
         let server = sharded(2, 8);
+        // `shards` multiplies the one queue's capacity.
+        let queue = server.stats_json();
+        let capacity = ["stats", "queue", "capacity"]
+            .iter()
+            .try_fold(&queue, |doc, key| doc.get(key))
+            .and_then(Json::as_f64);
+        assert_eq!(capacity, Some(16.0), "{}", queue.compact());
         let mut pending = Vec::new();
         for i in 0..12 {
             match server.submit(request(&format!("r{i}")), Instant::now()) {

@@ -1,17 +1,53 @@
 //! The durable-file primitives every on-disk store in the workspace
 //! shares: the tuning store's journal and snapshot, and the service's
 //! disk compile cache. Each routes through the [`fault`] probes, so one
-//! `GPGPU_FAULT=io:*` run exercises every store's recovery path.
+//! `GPGPU_FAULT=io:*` run exercises every store's recovery path, and
+//! each store writes its records as [`frame`]s, so a garbled or torn
+//! record fails [`unframe`] instead of being trusted.
 
 use crate::fault;
+use crate::shape::fnv1a;
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::Path;
 
+/// FNV-1a seed for frame checksums.
+const CHECKSUM_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Frames one single-line `payload` as a checksummed record,
+/// `t1 <len> <fnv64> <payload>\n`.
+pub fn frame(payload: &str) -> String {
+    let sum = fnv1a(CHECKSUM_SEED, payload.as_bytes());
+    format!("t1 {} {:016x} {}\n", payload.len(), sum, payload)
+}
+
+/// Verifies one framed record (without its trailing newline). Returns the
+/// payload, or why the frame does not verify.
+///
+/// # Errors
+///
+/// A bad magic, length or checksum field, or a payload whose length or
+/// checksum differs from the declared one.
+pub fn unframe(line: &str) -> Result<&str, String> {
+    let rest = line
+        .strip_prefix("t1 ")
+        .ok_or_else(|| "bad magic".to_string())?;
+    let (len_s, rest) = rest.split_once(' ').ok_or("missing length")?;
+    let (sum_s, payload) = rest.split_once(' ').ok_or("missing checksum")?;
+    let len: usize = len_s.parse().map_err(|_| "bad length".to_string())?;
+    if payload.len() != len {
+        return Err(format!("length {} != declared {len}", payload.len()));
+    }
+    let sum = u64::from_str_radix(sum_s, 16).map_err(|_| "bad checksum".to_string())?;
+    if fnv1a(CHECKSUM_SEED, payload.as_bytes()) != sum {
+        return Err("checksum mismatch".to_string());
+    }
+    Ok(payload)
+}
+
 /// Reads a whole file. Under an armed `corrupt-read` fault the middle
 /// byte comes back as a control character, the way a bad sector would
-/// garble it: a checksummed frame always rejects it, a bare JSON document
-/// does wherever it lands outside a string.
+/// garble it, and the checksummed frame around it rejects it.
 ///
 /// # Errors
 ///

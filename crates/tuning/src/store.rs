@@ -28,8 +28,8 @@
 //! answers every lookup with "explore fully" and records why, as a
 //! drainable [`StoreNote`] for the caller's trace.
 
-use crate::durable::{faultable_rename, faultable_write, read_file};
-use crate::shape::{fnv1a, size_distance, KernelShape};
+use crate::durable::{faultable_rename, faultable_write, frame, read_file, unframe};
+use crate::shape::{size_distance, KernelShape};
 use gpgpu_trace::Json;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions, TryLockError};
@@ -40,9 +40,6 @@ use std::sync::Mutex;
 pub const STORE_VERSION: &str = "v1";
 /// Schema tag embedded in snapshots and journal records.
 pub const STORE_SCHEMA: &str = "gpgpu-tuning/v1";
-
-/// FNV-1a seed for record checksums.
-const CHECKSUM_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// One scored design-space configuration, as the store records it.
 #[derive(Debug, Clone, PartialEq)]
@@ -304,34 +301,6 @@ struct Inner {
 #[derive(Debug)]
 pub struct TuningStore {
     inner: Mutex<Inner>,
-}
-
-// ---------------------------------------------------------------------
-// Record framing
-// ---------------------------------------------------------------------
-
-fn frame(payload: &str) -> String {
-    let sum = fnv1a(CHECKSUM_SEED, payload.as_bytes());
-    format!("t1 {} {:016x} {}\n", payload.len(), sum, payload)
-}
-
-/// Parses one framed line (without trailing newline). Returns the payload
-/// or a description of why the frame is invalid.
-fn unframe(line: &str) -> Result<&str, String> {
-    let rest = line
-        .strip_prefix("t1 ")
-        .ok_or_else(|| "bad magic".to_string())?;
-    let (len_s, rest) = rest.split_once(' ').ok_or("missing length")?;
-    let (sum_s, payload) = rest.split_once(' ').ok_or("missing checksum")?;
-    let len: usize = len_s.parse().map_err(|_| "bad length".to_string())?;
-    if payload.len() != len {
-        return Err(format!("length {} != declared {len}", payload.len()));
-    }
-    let sum = u64::from_str_radix(sum_s, 16).map_err(|_| "bad checksum".to_string())?;
-    if fnv1a(CHECKSUM_SEED, payload.as_bytes()) != sum {
-        return Err("checksum mismatch".to_string());
-    }
-    Ok(payload)
 }
 
 impl Inner {

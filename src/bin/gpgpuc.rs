@@ -10,9 +10,7 @@
 //!             [--inject <slug>] [--trace-json <path>]
 //! gpgpuc reduce <repro.cu> [--budget <n>]
 //! gpgpuc batch <manifest.ndjson | -> [--jobs <n>] [--queue <n>]
-//!              [--shards <n>] [--admission-watermark <f>]
-//!              [--admission-wait-ms <n>] [--retry <n>]
-//!              [--cache-dir <dir>] [--cache-entries <n>]
+//!              [--shards <n>] [--cache-dir <dir>] [--cache-entries <n>]
 //!              [--tuning-dir <dir>] [--no-warm-start]
 //!              [--deadline-ms <n>] [--cost-model <m>]
 //!              [--metrics <path>] [--trace-json <path>]
@@ -137,25 +135,23 @@
 //!
 //! ## Serving under load
 //!
-//! Both `batch` and `serve` run the engine **sharded** (DESIGN.md §5.12):
-//! `--shards <n>` engine shards, each with its own bounded queue
-//! (`--queue` is the *per-shard* capacity) and worker pool (`--jobs`
-//! workers split across the shards), behind a least-loaded router with
-//! work stealing. Admission is bounded-wait: when every shard is past
-//! `--admission-watermark` (a fill fraction below 1.0) — or still at
-//! hard capacity after `--admission-wait-ms` — a request is *shed* with
-//! a structured `overloaded` response carrying `retry_after_ms`, instead
-//! of blocking the client. Requests whose deadline is already spent (or
-//! provably unmeetable given the observed p50 compile time) fail as
-//! `deadline` without compiling, and expired requests are swept from the
-//! queues.
+//! Both `batch` and `serve` run the engine behind **one front**
+//! (DESIGN.md §5.12): one bounded queue drained by one worker pool.
+//! `--shards <n>` is only a multiplier — the pool has `--shards` ×
+//! ⌈`--jobs` / `--shards`⌉ workers and the queue `--shards` × `--queue`
+//! slots. Requests whose deadline is already spent (or provably
+//! unmeetable given the observed p50 compile time) fail as `deadline`
+//! without compiling.
 //!
-//! `gpgpuc batch` honors `retry_after_ms` itself — and because a manifest
-//! is a finite job rather than live traffic, overload there is
-//! backpressure, never a verdict: shed requests resubmit with jittered
-//! exponential backoff until admitted, with `--retry <n>` (default 3)
-//! capping how far the delay doubles (at most hint × 2^n). Only `serve`
-//! surfaces `overloaded` to its clients.
+//! `serve` admission is bounded-wait: when the queue is past
+//! `--admission-watermark` (a fill fraction below 1.0) — or still at
+//! hard capacity after expired requests are swept out and
+//! `--admission-wait-ms` has passed — a request is *shed* with a
+//! structured `overloaded` response carrying `retry_after_ms`, instead of
+//! blocking the client. A `batch` manifest is a finite job rather than
+//! live traffic, so overload there is backpressure, never a verdict: each
+//! request waits for a queue slot, and only `serve` surfaces `overloaded`
+//! to its clients.
 //!
 //! `gpgpuc serve` emits responses **in request order** by default (a
 //! `{"stats": true}` line acts as a barrier: every earlier request is
@@ -200,10 +196,11 @@ use gpgpu::service::{
     CompileRequest, CompileResponse, Engine, ErrorClass, ServiceConfig, ShardConfig,
     ShardedEngine, SourceSpec, Submitted,
 };
-use std::sync::Arc;
 use gpgpu::sim::{CostModelKind, MachineDesc};
 use std::io::{BufRead, Read, Write};
 use std::process::ExitCode;
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Verification mismatch (`--verify`).
 const EXIT_VERIFY_FAILED: u8 = 1;
@@ -258,8 +255,7 @@ fn usage(msg: &str) -> ExitCode {
          gpgpuc fuzz [--seed <u64>] [--iters <n>] [--pairs <n>] [--machine <m>] [--inject <slug>] [--trace-json <path>]\n       \
          gpgpuc reduce <repro.cu> [--budget <n>]\n       \
          gpgpuc batch <manifest.ndjson | -> [--jobs <n>] [--queue <n>] [--shards <n>] \
-         [--admission-watermark <f>] [--admission-wait-ms <n>] [--retry <n>] [--cache-dir <dir>] \
-         [--cache-entries <n>] [--tuning-dir <dir>] [--no-warm-start] [--deadline-ms <n>] \
+         [--cache-dir <dir>] [--cache-entries <n>] [--tuning-dir <dir>] [--no-warm-start] [--deadline-ms <n>] \
          [--cost-model analytic|hierarchy] \
          [--metrics <path>] [--trace-json <path>]\n       \
          gpgpuc serve [--jobs <n>] [--queue <n>] [--shards <n>] [--admission-watermark <f>] \
@@ -897,16 +893,14 @@ struct ServiceArgs {
     trace_json: Option<String>,
     /// Positional operand (the batch manifest; none for `serve`).
     operand: Option<String>,
-    /// Engine shards (`--shards`); `--jobs` workers are split across them.
+    /// Front multiplier (`--shards`) on the worker count and `--queue`.
     shards: usize,
-    /// Queue fill fraction past which admission sheds (`--admission-watermark`).
+    /// `serve`: queue fill fraction past which admission sheds
+    /// (`--admission-watermark`).
     admission_watermark: f64,
-    /// Bounded admission wait at hard capacity (`--admission-wait-ms`).
+    /// `serve`: bounded admission wait at hard capacity
+    /// (`--admission-wait-ms`).
     admission_wait_ms: u64,
-    /// Caps the exponential-backoff growth for shed batch resubmits
-    /// (`--retry`): delay tops out at hint × 2^retry. Batch retries shed
-    /// requests until admitted; this bounds the pacing, not the attempts.
-    retry: u32,
     /// `serve --unordered`: emit responses as they complete.
     unordered: bool,
     /// `serve --drain-timeout-ms`: shed still-queued work at EOF past this.
@@ -914,8 +908,8 @@ struct ServiceArgs {
 }
 
 impl ServiceArgs {
-    /// The shard layout this command line asks for: `--shards` shards with
-    /// `--jobs` workers divided (rounding up) across them.
+    /// The front this command line asks for: `--jobs` workers rounded up
+    /// to a multiple of `--shards`, and `--shards` × `--queue` slots.
     fn shard_config(&self) -> ShardConfig {
         ShardConfig {
             shards: self.shards,
@@ -927,7 +921,7 @@ impl ServiceArgs {
 }
 
 /// Parses the `batch` / `serve` command line.
-fn parse_service_args(argv: &[String], want_operand: bool) -> Result<ServiceArgs, String> {
+fn parse_service_args(argv: &[String], batch: bool) -> Result<ServiceArgs, String> {
     let mut out = ServiceArgs {
         config: ServiceConfig::default(),
         metrics_path: None,
@@ -936,7 +930,6 @@ fn parse_service_args(argv: &[String], want_operand: bool) -> Result<ServiceArgs
         shards: 1,
         admission_watermark: 1.0,
         admission_wait_ms: 10,
-        retry: 3,
         unordered: false,
         drain_timeout_ms: None,
     };
@@ -995,7 +988,7 @@ fn parse_service_args(argv: &[String], want_operand: bool) -> Result<ServiceArgs
                     .filter(|&n| n >= 1)
                     .ok_or_else(|| format!("--shards `{v}` is not a positive integer"))?;
             }
-            "--admission-watermark" => {
+            "--admission-watermark" if !batch => {
                 let v = value("--admission-watermark")?;
                 out.admission_watermark = v
                     .parse::<f64>()
@@ -1005,17 +998,11 @@ fn parse_service_args(argv: &[String], want_operand: bool) -> Result<ServiceArgs
                         format!("--admission-watermark `{v}` is not a fraction in [0, 1]")
                     })?;
             }
-            "--admission-wait-ms" => {
+            "--admission-wait-ms" if !batch => {
                 let v = value("--admission-wait-ms")?;
                 out.admission_wait_ms = v
                     .parse()
                     .map_err(|_| format!("--admission-wait-ms `{v}` is not an integer"))?;
-            }
-            "--retry" => {
-                let v = value("--retry")?;
-                out.retry = v
-                    .parse()
-                    .map_err(|_| format!("--retry `{v}` is not an integer"))?;
             }
             "--unordered" => out.unordered = true,
             "--drain-timeout-ms" => {
@@ -1028,13 +1015,11 @@ fn parse_service_args(argv: &[String], want_operand: bool) -> Result<ServiceArgs
             other if other.starts_with("--") => {
                 return Err(format!("unexpected argument `{other}`"))
             }
-            other if want_operand && out.operand.is_none() => {
-                out.operand = Some(other.to_string())
-            }
+            other if batch && out.operand.is_none() => out.operand = Some(other.to_string()),
             other => return Err(format!("unexpected argument `{other}`")),
         }
     }
-    if want_operand && out.operand.is_none() {
+    if batch && out.operand.is_none() {
         return Err("batch needs an NDJSON manifest (or `-` for stdin)".into());
     }
     if !out.config.warm_start && out.config.tuning_dir.is_none() {
@@ -1105,37 +1090,25 @@ fn cmd_batch(argv: &[String]) -> ExitCode {
             return ExitCode::from(EXIT_IO);
         }
     };
-    // Parse every line up front: well-formed requests flow through the
-    // sharded worker pools; malformed lines become in-place bad-request
-    // responses (still booked into the engine's metrics) so manifest
-    // order holds.
-    let lines: Vec<&str> = text
-        .lines()
-        .filter(|l| !l.trim().is_empty())
+    // Well-formed lines block for a queue slot — a manifest is
+    // backpressure, never a shed. Malformed lines become in-place
+    // bad-request responses (still booked into the engine's metrics) so
+    // manifest order holds.
+    let server = ShardedEngine::start(Arc::clone(&engine), sargs.shard_config());
+    let lines = text.lines().filter(|l| !l.trim().is_empty());
+    let tickets: Vec<Ticket> = lines
+        .enumerate()
+        .map(|(idx, line)| match parse_request(line, idx) {
+            Ok(req) => Ticket::new(req.id.clone(), server.push(req, Instant::now())),
+            Err(_) => Ticket::Now(Box::new(engine.handle_line(line, idx))),
+        })
         .collect();
-    let mut slots: Vec<Option<CompileResponse>> = (0..lines.len()).map(|_| None).collect();
-    let mut good: Vec<(usize, CompileRequest)> = Vec::new();
-    for (idx, line) in lines.iter().enumerate() {
-        let parsed = CompileRequest::parse(line, idx).and_then(|mut req| {
-            req.resolve_file()?;
-            Ok(req)
-        });
-        match parsed {
-            Ok(req) => good.push((idx, req)),
-            Err(_) => slots[idx] = Some(engine.handle_line(line, idx)),
-        }
-    }
-    run_batch_with_backoff(
-        &ShardedEngine::start(Arc::clone(&engine), sargs.shard_config()),
-        good,
-        sargs.retry,
-        &mut slots,
-    );
+    server.shutdown(None);
     let mut worst: u8 = 0;
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    for (idx, slot) in slots.into_iter().enumerate() {
-        let Some(resp) = slot else { continue };
+    for (idx, ticket) in tickets.into_iter().enumerate() {
+        let resp = ticket.wait();
         worst = worst.max(resp.exit_code().clamp(0, 255) as u8);
         if writeln!(out, "{}", resp.to_json().compact()).is_err() {
             eprintln!("gpgpuc: cannot write response {idx} to stdout");
@@ -1150,69 +1123,11 @@ fn cmd_batch(argv: &[String]) -> ExitCode {
     ExitCode::from(worst)
 }
 
-/// The client half of the backoff contract: shed requests are resubmitted
-/// with jittered exponential backoff seeded from the server's
-/// `retry_after_ms` hint — delay = hint × 2^min(attempt, retry) × jitter
-/// in [0.5, 1.5). A manifest is a finite job, not live traffic, so
-/// overload here is backpressure, never a verdict: shed requests retry
-/// until admitted (`retry` caps how far the delay doubles, not how many
-/// attempts are made). Termination is guaranteed because each round
-/// waits for its admitted work to drain before resubmitting — the next
-/// round always finds free queue slots. Responses land in `slots` at
-/// their manifest index.
-fn run_batch_with_backoff(
-    server: &ShardedEngine,
-    work: Vec<(usize, CompileRequest)>,
-    retry: u32,
-    slots: &mut [Option<CompileResponse>],
-) {
-    let mut round: Vec<(usize, CompileRequest, u32)> =
-        work.into_iter().map(|(idx, req)| (idx, req, 0)).collect();
-    while !round.is_empty() {
-        let mut pending: Vec<(usize, String, std::sync::mpsc::Receiver<CompileResponse>)> =
-            Vec::new();
-        let mut retries: Vec<(usize, CompileRequest, u32, u64)> = Vec::new();
-        for (idx, req, attempt) in round {
-            match server.submit(req.clone(), std::time::Instant::now()) {
-                Submitted::Queued(rx) => pending.push((idx, req.id, rx)),
-                Submitted::Rejected(resp) => {
-                    let shed = resp
-                        .error
-                        .as_ref()
-                        .is_some_and(|e| e.class == ErrorClass::Overloaded);
-                    if shed {
-                        let hint = resp.retry_after_ms().unwrap_or(50).max(1);
-                        let backoff = hint.saturating_mul(1 << attempt.min(retry).min(10));
-                        // Deterministic jitter in [0.5, 1.5): desynchronizes
-                        // clients without making runs irreproducible.
-                        let mixed = gpgpu::load::splitmix64(idx as u64 * 31 + attempt as u64);
-                        let jitter = 0.5 + (mixed % 1000) as f64 / 1000.0;
-                        let delay = ((backoff as f64 * jitter) as u64).clamp(1, 30_000);
-                        retries.push((idx, req, attempt.saturating_add(1), delay));
-                    } else {
-                        slots[idx] = Some(*resp);
-                    }
-                }
-            }
-        }
-        // Waiting for this round's admitted work to finish consumes most
-        // of the backoff window; sleep off only the remainder.
-        let drained_at = std::time::Instant::now();
-        for (idx, id, rx) in pending {
-            slots[idx] = Some(rx.recv().unwrap_or_else(|_| worker_lost(id)));
-        }
-        round = retries
-            .into_iter()
-            .map(|(idx, req, attempt, delay)| {
-                let remaining = std::time::Duration::from_millis(delay)
-                    .saturating_sub(drained_at.elapsed());
-                if !remaining.is_zero() {
-                    std::thread::sleep(remaining);
-                }
-                (idx, req, attempt)
-            })
-            .collect();
-    }
+/// Parses one NDJSON request line and resolves its `file` source.
+fn parse_request(line: &str, position: usize) -> Result<CompileRequest, String> {
+    let mut req = CompileRequest::parse(line, position)?;
+    req.resolve_file()?;
+    Ok(req)
 }
 
 /// Prints the batch's per-stage time-attribution summary to stderr (the
@@ -1283,17 +1198,25 @@ fn worker_lost(id: String) -> CompileResponse {
     CompileResponse::failure(id, ErrorClass::Internal, "worker exited without a response")
 }
 
-/// A response the serve loop owes the client, in request order.
+/// A response owed to the client, in request order.
 enum Ticket {
     /// Resolved at admission (malformed line, shed, expired deadline).
     Now(Box<CompileResponse>),
-    /// In flight on a shard; the worker delivers through the receiver.
-    /// The request `id` rides along so a vanished worker still yields a
-    /// correlatable response.
+    /// Queued; the worker delivers through the receiver. The request `id`
+    /// rides along so a vanished worker still yields a correlatable
+    /// response.
     Later(String, std::sync::mpsc::Receiver<CompileResponse>),
 }
 
 impl Ticket {
+    /// What the front did with the request `id`.
+    fn new(id: String, submitted: Submitted) -> Ticket {
+        match submitted {
+            Submitted::Rejected(resp) => Ticket::Now(resp),
+            Submitted::Queued(rx) => Ticket::Later(id, rx),
+        }
+    }
+
     /// Blocks until the response is available.
     fn wait(self) -> CompileResponse {
         match self {
@@ -1328,9 +1251,9 @@ fn write_serve_line(text: &str) -> Result<(), ExitCode> {
     Ok(())
 }
 
-/// `gpgpuc serve`: the sharded engine as a stdin/stdout NDJSON request
+/// `gpgpuc serve`: the engine's front as a stdin/stdout NDJSON request
 /// loop. Requests are admitted (or shed) as lines arrive and compile
-/// concurrently on the shards; responses are emitted in request order by
+/// concurrently on the worker pool; responses are emitted in request order by
 /// default (`--unordered` emits them as they complete). A
 /// `{"stats": true}` control line is a barrier in ordered mode: every
 /// earlier request is answered before the snapshot. On stdin EOF the
@@ -1403,23 +1326,13 @@ fn cmd_serve(argv: &[String]) -> ExitCode {
                 continue;
             }
         }
-        let enqueued = std::time::Instant::now();
-        let parsed = CompileRequest::parse(&line, position).and_then(|mut req| {
-            req.resolve_file()?;
-            Ok(req)
-        });
+        let enqueued = Instant::now();
         position += 1;
-        let ticket = match parsed {
-            // Malformed: book + answer without touching the shards (the
+        let ticket = match parse_request(&line, position - 1) {
+            // Malformed: book + answer without touching the queue (the
             // engine builds the structured bad-request response).
             Err(_) => Ticket::Now(Box::new(engine.handle_line(&line, position - 1))),
-            Ok(req) => {
-                let id = req.id.clone();
-                match server.submit(req, enqueued) {
-                    Submitted::Rejected(resp) => Ticket::Now(resp),
-                    Submitted::Queued(rx) => Ticket::Later(id, rx),
-                }
-            }
+            Ok(req) => Ticket::new(req.id.clone(), server.submit(req, enqueued)),
         };
         if sargs.unordered {
             match ticket {

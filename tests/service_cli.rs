@@ -70,10 +70,24 @@ impl Drop for TempDir {
 
 /// A manifest request line compiling the mv kernel under `name`/`id`.
 fn mv_line(id: &str, kernel_name: &str, n: i64) -> String {
+    mv_line_w(id, kernel_name, n, n)
+}
+
+/// [`mv_line`] with a separate row length `w`.
+fn mv_line_w(id: &str, kernel_name: &str, n: i64, w: i64) -> String {
     let source = MV.replace("void mv(", &format!("void {kernel_name}("));
-    format!(
-        r#"{{"id": "{id}", "source": "{source}", "bindings": {{"n": {n}, "w": {n}}}}}"#
-    )
+    format!(r#"{{"id": "{id}", "source": "{source}", "bindings": {{"n": {n}, "w": {w}}}}}"#)
+}
+
+/// Reads one `service_*` global from a `--metrics` document.
+fn metrics_global(path: &std::path::Path, name: &str) -> f64 {
+    let text = std::fs::read_to_string(path).expect("metrics file written");
+    let doc = parse_json(&text).expect("metrics JSON parses");
+    doc.get("metrics")
+        .and_then(|m| m.get("globals"))
+        .and_then(|g| g.get(name))
+        .and_then(Json::as_f64)
+        .unwrap_or_else(|| panic!("missing global {name} in {text}"))
 }
 
 fn response_lines(stdout: &str) -> Vec<Json> {
@@ -130,44 +144,60 @@ fn batch_preserves_manifest_order_and_aggregates_exit_codes() {
 
 #[test]
 fn deep_cold_manifest_survives_a_tiny_queue_without_sheds() {
-    // Regression: a manifest much deeper than (retry + 1) × queue
-    // capacity of cold requests must still compile fully. Overload on a
-    // finite manifest is backpressure — batch keeps resubmitting shed
-    // requests (with the hint-paced backoff) until they are admitted,
-    // and never reports one as `overloaded`.
-    let dir = TempDir::new("deep-cold");
-    let lines: Vec<String> = (0..40)
+    // Regression: a manifest of cold requests many times deeper than the
+    // queue must still compile fully. Overload on a finite manifest is
+    // backpressure — each line waits for a queue slot — so no line is
+    // ever shed, and the metrics count each manifest line exactly once.
+    let small: Vec<String> = (0..40)
         .map(|i| mv_line(&format!("c{i}"), &format!("mv{i}"), 32 + i))
         .collect();
-    let manifest = dir.file("manifest.ndjson", &(lines.join("\n") + "\n"));
-    let cache = dir.path("cache");
+    let slow: Vec<String> = (0..12)
+        .map(|i| mv_line_w(&format!("c{i}"), &format!("mv{i}"), 1024 + 32 * i, 1024))
+        .collect();
+    for (label, lines, queue) in [("small", small, "2"), ("slow", slow, "1")] {
+        let dir = TempDir::new(&format!("deep-cold-{label}"));
+        let manifest = dir.file("manifest.ndjson", &(lines.join("\n") + "\n"));
+        let cache = dir.path("cache");
+        let metrics = dir.path("metrics.json");
 
-    let mut cmd = gpgpuc();
-    cmd.args([
-        "batch",
-        manifest.to_str().expect("utf-8 path"),
-        "--jobs",
-        "1",
-        "--shards",
-        "1",
-        "--queue",
-        "2",
-        "--retry",
-        "0",
-        "--cache-dir",
-        cache.to_str().expect("utf-8 path"),
-    ]);
-    let (stdout, stderr, code) = run_full(cmd, "");
-    assert_eq!(code, 0, "a manifest request was shed as overloaded\n{stderr}");
-    let docs = response_lines(&stdout);
-    assert_eq!(docs.len(), 40, "one response per manifest line\n{stdout}");
-    for (i, doc) in docs.iter().enumerate() {
+        let mut cmd = gpgpuc();
+        cmd.args([
+            "batch",
+            manifest.to_str().expect("utf-8 path"),
+            "--jobs",
+            "1",
+            "--shards",
+            "1",
+            "--queue",
+            queue,
+            "--cache-dir",
+            cache.to_str().expect("utf-8 path"),
+            "--metrics",
+            metrics.to_str().expect("utf-8 path"),
+        ]);
+        let (stdout, stderr, code) = run_full(cmd, "");
         assert_eq!(
-            field(doc, "id").as_str(),
-            Some(format!("c{i}").as_str()),
-            "manifest order held"
+            code, 0,
+            "{label}: a manifest request was shed as overloaded\n{stderr}"
         );
-        assert_eq!(field(doc, "ok"), &Json::Bool(true), "{}", doc.compact());
+        let docs = response_lines(&stdout);
+        assert_eq!(
+            docs.len(),
+            lines.len(),
+            "{label}: one response per manifest line\n{stdout}"
+        );
+        for (i, doc) in docs.iter().enumerate() {
+            assert_eq!(
+                field(doc, "id").as_str(),
+                Some(format!("c{i}").as_str()),
+                "{label}: manifest order held"
+            );
+            assert_eq!(field(doc, "ok"), &Json::Bool(true), "{}", doc.compact());
+        }
+        let global = |name| metrics_global(&metrics, name);
+        assert_eq!(global("service_requests"), lines.len() as f64, "{label}");
+        assert_eq!(global("service_errors"), 0.0, "{label}");
+        assert_eq!(global("service_shed_total"), 0.0, "{label}");
     }
 }
 
@@ -388,6 +418,13 @@ fn serve_answers_stats_requests_with_a_telemetry_snapshot() {
     assert_eq!(field(cache, "hits").as_f64(), Some(7.0));
     assert_eq!(field(cache, "misses").as_f64(), Some(1.0));
     assert_eq!(field(cache, "hit_ratio").as_f64(), Some(7.0 / 8.0));
+
+    // The queue block is the front's live one: the default `--queue` of
+    // 64 on one shard, and the high-water the eight requests left.
+    let queue = field(stats, "queue");
+    assert_eq!(field(queue, "capacity").as_f64(), Some(64.0));
+    let high_water = field(queue, "high_water").as_f64().expect("high_water");
+    assert!(high_water >= 1.0, "{}", stats_doc.compact());
 
     // Per-stage histograms exist for the whole request path.
     let stages = field(stats, "stages");
