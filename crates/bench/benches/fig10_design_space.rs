@@ -7,7 +7,7 @@
 //! best point uses substantial merging in both directions.
 
 use gpgpu_bench::harness::banner;
-use gpgpu_core::{compile, CompileOptions};
+use gpgpu_core::{compile, full_sweep, CompileOptions};
 use gpgpu_kernels::naive;
 use gpgpu_sim::MachineDesc;
 
@@ -25,9 +25,14 @@ fn main() {
         let compiled = compile(&mm, &opts).expect("mm compiles");
         let flops = (naive::MM.flops)(n);
 
-        // Collect the sweep into a (block-merge × thread-merge) table.
-        let mut xs: Vec<i64> = compiled.evaluated.iter().map(|c| c.block_merge_x).collect();
-        let mut ys: Vec<i64> = compiled.evaluated.iter().map(|c| c.thread_merge_y).collect();
+        // Collect the full sweep (pruned points included) into a
+        // (block-merge × thread-merge) table.
+        let sweep: Vec<_> = full_sweep(&mm, &opts, &compiled)
+            .into_iter()
+            .map(|(point, _)| point)
+            .collect();
+        let mut xs: Vec<i64> = sweep.iter().map(|c| c.block_merge_x).collect();
+        let mut ys: Vec<i64> = sweep.iter().map(|c| c.thread_merge_y).collect();
         xs.sort_unstable();
         xs.dedup();
         ys.sort_unstable();
@@ -41,8 +46,7 @@ fn main() {
         for x in &xs {
             print!("{x:>8}");
             for y in &ys {
-                let cell = compiled
-                    .evaluated
+                let cell = sweep
                     .iter()
                     .find(|c| c.block_merge_x == *x && c.thread_merge_y == *y);
                 match cell {

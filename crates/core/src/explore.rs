@@ -10,14 +10,18 @@
 //! One search serves two kinds of design point. An ordinary kernel's points
 //! are merge triples `(bx, ty, tx)`; a `__gsync` reduction's points are the
 //! elements each stage-1 thread accumulates (a thread-merge degree). Every
-//! point runs through the same worker pool, containment, budgets, events
-//! and histograms, and the cheapest estimate wins.
+//! point runs through the same containment, budgets, events and
+//! histograms, and the cheapest estimate wins. The first point is probed
+//! alone; the rest run on a worker pool, and a trace that provably cannot
+//! beat the probe is stopped early (pruned).
 
 use crate::domain::Domain;
 use crate::error::{panic_message, FaultReason};
 use crate::fault;
 use crate::pass_manager::PassManager;
-use crate::pipeline::{estimate_launch_under, CompileError, CompileOptions, KernelLaunch};
+use crate::pipeline::{
+    estimate_launch_under, CompileError, CompileOptions, CompiledKernel, KernelLaunch,
+};
 use gpgpu_analysis::{AnalysisManager, ArrayLayout, CacheStats};
 use gpgpu_ast::{Kernel, LaunchConfig, ScalarType};
 use gpgpu_sim::{ExecError, PerfError, PerfEstimate, PerfOptions};
@@ -117,6 +121,9 @@ enum CandidateFailure {
     /// refused reduction degree, or a configuration that does not fit the
     /// machine.
     Rejected(String),
+    /// The trace stopped once it proved the point slower than the probe;
+    /// carries the bound reached, in milliseconds.
+    Pruned(f64),
     /// A contained fault (panic, fuel exhaustion, deadline overrun). The
     /// flag records whether the candidate was retried once first.
     Fault(FaultReason, bool),
@@ -326,6 +333,35 @@ pub fn explore(
     // `catch_unwind` so one pathological candidate cannot take down the
     // search: a panicked slot is retried once (transient poisoning), then
     // recorded as a contained fault.
+    let evaluate = |point: &Candidate, budget: Option<f64>| {
+        let started = Instant::now();
+        let outcome = contained_evaluate(
+            coalesced,
+            am,
+            domain,
+            opts,
+            Some(explore_span_id),
+            point,
+            budget,
+        );
+        (outcome, started.elapsed().as_micros() as u64)
+    };
+    let slots: Vec<OnceLock<(Result<EvaluatedCandidate, CandidateFailure>, u64)>> =
+        points.iter().map(|_| OnceLock::new()).collect();
+    // The first point is probed alone, and its time becomes every other
+    // point's budget: a trace stops once its partial counters prove it
+    // slower, so it could never have won. The budget depends on the probe
+    // alone, so the same points are pruned for any worker count. A tuning
+    // store keeps losers' times (it seeds neighbouring sizes with the
+    // runner-up), so a search that feeds one stays unpruned.
+    let mut budget = None;
+    if let Some(first) = points.first() {
+        let probe = evaluate(first, None);
+        if opts.tuning.is_none() {
+            budget = probe.0.as_ref().ok().map(|ev| ev.candidate.time_ms);
+        }
+        let _ = slots[0].set(probe);
+    }
     let workers = opts
         .explore
         .workers
@@ -334,19 +370,14 @@ pub fn explore(
                 .map(|n| n.get())
                 .unwrap_or(4)
         })
-        .clamp(1, points.len().max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<(Result<EvaluatedCandidate, CandidateFailure>, u64)>> =
-        points.iter().map(|_| OnceLock::new()).collect();
+        .clamp(1, points.len().saturating_sub(1).max(1));
+    let next = AtomicUsize::new(1);
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(point) = points.get(i) else { return };
-                let started = Instant::now();
-                let outcome =
-                    contained_evaluate(coalesced, am, domain, opts, Some(explore_span_id), point);
-                let _ = slots[i].set((outcome, started.elapsed().as_micros() as u64));
+                let _ = slots[i].set(evaluate(point, budget));
             });
         }
     });
@@ -395,6 +426,18 @@ pub fn explore(
                 let label = point.label();
                 let msg = match &failure {
                     CandidateFailure::Rejected(msg) => msg.clone(),
+                    &CandidateFailure::Pruned(bound_ms) => {
+                        let incumbent_ms = budget.unwrap_or_default();
+                        events.push(TraceEvent::CandidatePruned {
+                            label: label.clone(),
+                            bound_ms,
+                            incumbent_ms,
+                        });
+                        let mut snapshot = CounterSnapshot::new();
+                        snapshot.push("pruned", 1.0);
+                        metrics.record(label, snapshot);
+                        format!("pruned: ≥ {bound_ms:.4} ms, incumbent {incumbent_ms:.4} ms")
+                    }
                     CandidateFailure::Fault(reason, retried) => {
                         events.push(TraceEvent::CandidateFault {
                             label: label.clone(),
@@ -467,6 +510,69 @@ pub fn explore(
     })
 }
 
+/// Every point of `compiled`'s design space that produces an estimate,
+/// with its counters, in design-space order: the full sweep behind
+/// Figure 10-style tables. A search prunes the points that cannot win, so
+/// each pruned merge point is compiled again alone, as a one-seed warm
+/// start with nothing to prune against. Reduction degrees cannot be
+/// searched alone; a pruned one is left out.
+pub fn full_sweep(
+    kernel: &Kernel,
+    opts: &CompileOptions,
+    compiled: &CompiledKernel,
+) -> Vec<(Candidate, CounterSnapshot)> {
+    let counters = |c: &CompiledKernel, label: &str| {
+        let found = c.metrics.candidates().iter().find(|m| m.label == label);
+        found.map(|m| m.counters.clone())
+    };
+    let events = compiled.trace.events();
+    let pruned: Vec<&str> = events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::CandidatePruned { label, .. } => Some(label.as_str()),
+            _ => None,
+        })
+        .collect();
+    let mut points = Vec::new();
+    for event in events {
+        let TraceEvent::CandidateEvaluated {
+            label,
+            block_merge_x,
+            thread_merge_y,
+            thread_merge_x,
+            reduction_elems,
+            time_ms,
+            rejected,
+        } = event
+        else {
+            continue;
+        };
+        if rejected.is_none() {
+            let point = Candidate {
+                block_merge_x: *block_merge_x,
+                thread_merge_y: *thread_merge_y,
+                thread_merge_x: *thread_merge_x,
+                reduction_elems: *reduction_elems,
+                time_ms: *time_ms,
+            };
+            points.extend(counters(compiled, label).map(|c| (point, c)));
+        } else if pruned.contains(&label.as_str()) && reduction_elems.is_none() {
+            let mut alone = opts.clone();
+            alone.explore.warm_start = Some(WarmStartPlan {
+                seeds: vec![(*block_merge_x, *thread_merge_y, *thread_merge_x)],
+                expand: false,
+            });
+            let Ok(c) = crate::pipeline::compile(kernel, &alone) else {
+                continue;
+            };
+            if let (Some(point), Some(snapshot)) = (c.evaluated.first(), counters(&c, label)) {
+                points.push((point.clone(), snapshot));
+            }
+        }
+    }
+    points
+}
+
 /// One successfully evaluated design-space point.
 struct EvaluatedCandidate {
     state: PipelineState,
@@ -532,10 +638,11 @@ fn contained_evaluate(
     opts: &CompileOptions,
     explore_span: Option<SpanId>,
     point: &Candidate,
+    budget: Option<f64>,
 ) -> Result<EvaluatedCandidate, CandidateFailure> {
     let attempt = || {
         catch_unwind(AssertUnwindSafe(|| {
-            evaluate_candidate(base, am, domain, opts, explore_span, point)
+            evaluate_candidate(base, am, domain, opts, explore_span, point, budget)
         }))
     };
     match attempt() {
@@ -561,21 +668,23 @@ fn pass_failure(e: PassError) -> CandidateFailure {
 }
 
 /// Maps a simulator failure into a candidate failure: fuel and deadline
-/// overruns are faults, everything else is an ordinary rejection.
+/// overruns are faults, a budget overrun prunes the point, everything else
+/// is an ordinary rejection.
 fn perf_failure(e: PerfError) -> CandidateFailure {
-    use CandidateFailure::{Fault, Rejected};
+    use CandidateFailure::{Fault, Pruned, Rejected};
     match e {
         PerfError::Exec(ExecError::IterationLimit) => Fault(FaultReason::FuelExhausted, false),
         PerfError::Exec(ExecError::DeadlineExceeded) => Fault(FaultReason::DeadlineExceeded, false),
+        PerfError::Exec(ExecError::OverBudget(bound_ms)) => Pruned(bound_ms),
         PerfError::DoesNotFit(msg) => Rejected(msg),
         other => Rejected(other.to_string()),
     }
 }
 
 /// The simulator options a candidate's estimates run under: its fuel
-/// budget (an injected fuel fault overrides it by label) and a deadline
-/// starting now.
-fn candidate_perf_options(opts: &CompileOptions, label: &str) -> PerfOptions {
+/// budget (an injected fuel fault overrides it by label), a deadline
+/// starting now, and the time above which its trace is pruned.
+fn candidate_perf_options(opts: &CompileOptions, label: &str, budget: Option<f64>) -> PerfOptions {
     PerfOptions {
         sample_blocks: opts.sample_blocks,
         fuel: fault::fuel_override(label).or(opts.explore.candidate_fuel),
@@ -584,6 +693,7 @@ fn candidate_perf_options(opts: &CompileOptions, label: &str) -> PerfOptions {
             .candidate_deadline_ms
             .map(|ms| Instant::now() + Duration::from_millis(ms)),
         cost_model: opts.cost_model,
+        prune_above_ms: budget,
         ..PerfOptions::default()
     }
 }
@@ -595,6 +705,7 @@ fn evaluate_candidate(
     opts: &CompileOptions,
     explore_span: Option<SpanId>,
     point: &Candidate,
+    budget: Option<f64>,
 ) -> Result<EvaluatedCandidate, CandidateFailure> {
     let label = point.label();
     // Opened before fault injection so an injected panic unwinds through
@@ -611,8 +722,8 @@ fn evaluate_candidate(
     let mut pm = PassManager::with_manager(opts.stages, am.clone());
     let inherited = pm.am.stats();
     let (launches, per_launch, snapshot) = match point.reduction_elems {
-        Some(elems) => reduction_point(&mut st, &mut pm, opts, &label, elems)?,
-        None => merge_point(&mut st, &mut pm, domain, opts, &label, point)?,
+        Some(elems) => reduction_point(&mut st, &mut pm, opts, &label, budget, elems)?,
+        None => merge_point(&mut st, &mut pm, domain, opts, &label, budget, point)?,
     };
     let total = pm.am.stats();
     let cache = CacheStats {
@@ -650,6 +761,7 @@ fn merge_point(
     domain: &Domain,
     opts: &CompileOptions,
     label: &str,
+    budget: Option<f64>,
     point: &Candidate,
 ) -> Result<PointResult, CandidateFailure> {
     let (bx, ty, tx) = (
@@ -716,7 +828,7 @@ fn merge_point(
         &cfg,
         &st.bindings,
         &opts.machine,
-        &candidate_perf_options(opts, label),
+        &candidate_perf_options(opts, label, budget),
         &resources,
         &layouts,
     )
@@ -744,6 +856,7 @@ fn reduction_point(
     pm: &mut PassManager,
     opts: &CompileOptions,
     label: &str,
+    budget: Option<f64>,
     elems: i64,
 ) -> Result<PointResult, CandidateFailure> {
     let mut pass = ReductionPass {
@@ -761,7 +874,7 @@ fn reduction_point(
     let _estimate_span = st
         .profiler
         .span_under(st.profile_span, "estimate", "estimate");
-    let perf = candidate_perf_options(opts, label);
+    let perf = candidate_perf_options(opts, label, budget);
     let estimate = |kernel, launch, stage: &str| {
         estimate_launch_under(kernel, launch, &st.bindings, opts, &perf).map_err(|e| {
             match perf_failure(e) {

@@ -50,7 +50,7 @@ pub use cache::{BufferArtifact, CachedArtifact, FusionMeta, LaunchArtifact, CACH
 pub use cu::emit_cu;
 pub use domain::{infer_domain, Domain};
 pub use error::{panic_message, CompilerError, DegradedReason, ErrorKind, FaultReason, Stage};
-pub use explore::{explore, Candidate, ExploreOptions, WarmStartPlan};
+pub use explore::{explore, full_sweep, Candidate, ExploreOptions, WarmStartPlan};
 pub use pass_manager::{registered_passes, PassInfo, PassManager};
 pub use pipeline::{
     compile, estimate_launch, naive_compiled, CompileError, CompileOptions, CompiledKernel,

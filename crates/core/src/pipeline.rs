@@ -878,7 +878,13 @@ pub(crate) fn estimate_launch_under(
             (cfg.grid_x as i64 / factor).max(1) as u32,
             cfg.block_x,
         );
-        let est = gpgpu_sim::estimate(kernel, &small_cfg, &small, &opts.machine, perf_opts)?;
+        // The counters are rescaled after the trace, so a budget on the
+        // shrunk trace's own counters would not bound this launch.
+        let unbudgeted = PerfOptions {
+            prune_above_ms: None,
+            ..perf_opts.clone()
+        };
+        let est = gpgpu_sim::estimate(kernel, &small_cfg, &small, &opts.machine, &unbudgeted)?;
         let mut scaled = est.stats.scaled(factor as f64);
         // Barrier crossings (tree depth) grow with log2 of the shrink.
         scaled.gsync_crossings += factor.ilog2() as u64;

@@ -17,8 +17,8 @@ use crate::exec::ExecStats;
 use crate::machine::MachineDesc;
 use crate::mem::{HierarchySim, HierarchyStats};
 use crate::timing::{
-    finish, sample_trace, PerfError, PerfEstimate, PerfOptions, CONFLICT_CYCLES,
-    CYCLES_PER_WARP_INST, LAUNCH_OVERHEAD_US,
+    finish, residency, sample_trace, widest_elem, PerfError, PerfEstimate, PerfOptions,
+    CONFLICT_CYCLES, CYCLES_PER_WARP_INST, LAUNCH_OVERHEAD_US,
 };
 use gpgpu_analysis::Bindings;
 use gpgpu_ast::{Kernel, LaunchConfig};
@@ -210,16 +210,6 @@ impl CostModel for HierarchyModel {
     }
 }
 
-/// Widest array element in bytes (drives sustained-bandwidth efficiency,
-/// as in the analytic model).
-fn widest_elem(kernel: &Kernel) -> u32 {
-    kernel
-        .array_params()
-        .map(|p| p.ty.size_bytes())
-        .max()
-        .unwrap_or(4)
-}
-
 /// Combines trace statistics and hierarchy counters into the final
 /// estimate. Occupancy and the compute bound match the analytic model;
 /// the memory bound is the hottest partition's busy cycles (camping
@@ -234,9 +224,7 @@ pub fn finish_hierarchy(
     stats: ExecStats,
     hstats: HierarchyStats,
 ) -> PerfEstimate {
-    let warps_per_block = cfg.threads_per_block().div_ceil(machine.warp_size);
-    let active_warps = (blocks_per_sm * warps_per_block).max(1);
-    let busy_sms = (machine.sm_count as u64).min(cfg.total_blocks()).max(1) as f64;
+    let (active_warps, busy_sms) = residency(cfg, machine, blocks_per_sm);
 
     let compute_cycles = (stats.warp_insts as f64 * CYCLES_PER_WARP_INST
         + stats.shared_conflict_cycles as f64 * CONFLICT_CYCLES)

@@ -84,6 +84,53 @@ pub struct ExecOptions {
     /// Sanitize and mega-block (`__gsync`) runs ignore this and stay
     /// serial.
     pub block_clusters: usize,
+    /// Stop a sampled timing trace with [`ExecError::OverBudget`] as soon
+    /// as its partial counters prove the launch's time exceeds a limit.
+    /// Set by the timing model only; see [`ExecBudget`].
+    pub budget: Option<ExecBudget>,
+}
+
+/// A time limit for a sampled timing trace, expressed over the counters the
+/// trace accumulates.
+///
+/// The interpreter extrapolates its counters so far to the whole launch,
+/// exactly as [`ExecStats::scaled`] will extrapolate the final ones, and
+/// bounds the launch's time from below by `base_ms` plus the largest of
+/// warp instructions, global bytes and half-warp requests times their
+/// per-unit cost. Counters and the loop-truncation factor only grow during
+/// a run, so a bound reached mid-trace never exceeds the finished trace's.
+/// It is checked at the deadline poll and after every block.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ExecBudget {
+    /// Milliseconds the bound may reach before the run stops.
+    pub limit_ms: f64,
+    /// Milliseconds every launch costs regardless of its counters.
+    pub base_ms: f64,
+    /// Milliseconds per extrapolated warp instruction.
+    pub ms_per_warp_inst: f64,
+    /// Milliseconds per extrapolated global byte (0 ignores the counter).
+    pub ms_per_global_byte: f64,
+    /// Milliseconds per extrapolated half-warp request (0 ignores it).
+    pub ms_per_gmem_request: f64,
+}
+
+impl ExecBudget {
+    /// The bound `stats` proves, when it exceeds the limit.
+    fn exceeded(&self, stats: &ExecStats) -> Option<f64> {
+        let factor = stats.extrapolation();
+        let whole = |v: u64| extrapolate(v, factor) as f64;
+        let bound = self.base_ms
+            + (whole(stats.warp_insts) * self.ms_per_warp_inst)
+                .max(whole(stats.global_bytes) * self.ms_per_global_byte)
+                .max(whole(stats.gmem_requests) * self.ms_per_gmem_request);
+        (bound > self.limit_ms).then_some(bound)
+    }
+}
+
+/// One extensive counter extrapolated by `factor`, rounded the way
+/// [`ExecStats::scaled`] rounds.
+fn extrapolate(v: u64, factor: f64) -> u64 {
+    (v as f64 * factor).round() as u64
 }
 
 /// Counters collected during execution.
@@ -201,10 +248,21 @@ impl ExecStats {
         }
     }
 
+    /// The factor extrapolating this sampled trace to the full launch:
+    /// sampled blocks to all blocks, times the loop truncation.
+    pub(crate) fn extrapolation(&self) -> f64 {
+        let block_factor = if self.blocks_executed == 0 {
+            1.0
+        } else {
+            self.total_blocks as f64 / self.blocks_executed as f64
+        };
+        block_factor * self.loop_truncation
+    }
+
     /// Scales the extensive counters by `factor` (extrapolating a sampled
     /// trace to the full launch).
     pub fn scaled(&self, factor: f64) -> ExecStats {
-        let s = |v: u64| (v as f64 * factor).round() as u64;
+        let s = |v: u64| extrapolate(v, factor);
         ExecStats {
             blocks_executed: self.blocks_executed,
             total_blocks: self.total_blocks,
@@ -302,6 +360,10 @@ pub enum ExecError {
     IterationLimit,
     /// The wall-clock deadline passed (see [`ExecOptions::deadline`]).
     DeadlineExceeded,
+    /// The partial counters proved the launch slower than
+    /// [`ExecOptions::budget`] allows; carries the bound reached, in
+    /// milliseconds. Not a fault: the trace was stopped on purpose.
+    OverBudget(f64),
     /// A sanitizer check failed (only with [`ExecOptions::sanitize`]).
     Sanitizer(SanitizerError),
 }
@@ -317,6 +379,7 @@ impl fmt::Display for ExecError {
             ExecError::Unsupported(s) => write!(f, "unsupported construct: {s}"),
             ExecError::IterationLimit => f.write_str("statement step limit exceeded"),
             ExecError::DeadlineExceeded => f.write_str("wall-clock deadline exceeded"),
+            ExecError::OverBudget(bound) => write!(f, "over budget: ≥ {bound:.4} ms"),
             ExecError::Sanitizer(e) => write!(f, "{e}"),
         }
     }
@@ -407,13 +470,7 @@ pub(crate) fn execute<S: MemSink + ?Sized>(
     opts: &ExecOptions,
     sink: &mut S,
 ) -> Result<ExecStats, ExecError> {
-    let empty_stats = |device: &Device| ExecStats {
-        partition_hits: vec![0; device.machine.partitions.count as usize],
-        ..ExecStats::default()
-    };
-    let mut stats = empty_stats(device);
     let total = program.cfg.total_blocks();
-    stats.total_blocks = total;
     let limit = opts.sample_blocks.map(|n| n as u64).unwrap_or(total);
     // When sampling, stride the chosen blocks across the concurrently
     // resident population so partition statistics reflect what actually
@@ -434,11 +491,19 @@ pub(crate) fn execute<S: MemSink + ?Sized>(
             .take(limit.min(total) as usize)
             .collect()
     };
-    stats.blocks_executed = if program.mega {
-        total
-    } else {
-        blocks.len() as u64
+    // Every cluster's statistics carry the launch's block counts, so a
+    // budget check on a cluster's partial counters extrapolates them alike.
+    let empty_stats = |device: &Device| ExecStats {
+        partition_hits: vec![0; device.machine.partitions.count as usize],
+        total_blocks: total,
+        blocks_executed: if program.mega {
+            total
+        } else {
+            blocks.len() as u64
+        },
+        ..ExecStats::default()
     };
+    let mut stats = empty_stats(device);
 
     // Sanitize runs stay serial: the shadow-state machinery assumes the
     // serial block order when attributing first-fault blame.
@@ -877,6 +942,7 @@ struct BlockCtx<'a, S: MemSink + ?Sized, const SAN: bool> {
     /// Effective fuel budget: `min(STEP_LIMIT, ExecOptions::fuel)`.
     step_limit: u64,
     deadline: Option<std::time::Instant>,
+    budget: Option<ExecBudget>,
 }
 
 impl<'a, S: MemSink + ?Sized, const SAN: bool> BlockCtx<'a, S, SAN> {
@@ -913,6 +979,7 @@ impl<'a, S: MemSink + ?Sized, const SAN: bool> BlockCtx<'a, S, SAN> {
             max_outer_iters: opts.max_outer_iters,
             step_limit: opts.fuel.map_or(STEP_LIMIT, |f| f.min(STEP_LIMIT)),
             deadline: opts.deadline,
+            budget: opts.budget,
         }
     }
 
@@ -926,6 +993,7 @@ impl<'a, S: MemSink + ?Sized, const SAN: bool> BlockCtx<'a, S, SAN> {
             self.shared.iter_mut().for_each(|s| s.declared = false);
             (self.steps, self.request_ix, self.epoch, self.shared_bytes) = (0, 0, 0, 0);
             self.exec_body(&p.body, FULL)?;
+            self.check_budget()?;
         }
         Ok(())
     }
@@ -941,8 +1009,16 @@ impl<'a, S: MemSink + ?Sized, const SAN: bool> BlockCtx<'a, S, SAN> {
                     return Err(ExecError::DeadlineExceeded);
                 }
             }
+            self.check_budget()?;
         }
         Ok(())
+    }
+
+    fn check_budget(&self) -> Result<(), ExecError> {
+        match self.budget.and_then(|b| b.exceeded(self.stats)) {
+            Some(bound) => Err(ExecError::OverBudget(bound)),
+            None => Ok(()),
+        }
     }
 
     /// Takes the temporary at depth `d` out of the arena for writing lanes
@@ -1195,6 +1271,10 @@ impl<'a, S: MemSink + ?Sized, const SAN: bool> BlockCtx<'a, S, SAN> {
         self.assign_var(l.var, init, FULL);
         self.depth += 1;
         if let Some((limit, trips, init0, step)) = cap {
+            // The factor is recorded on entry, so a budget check inside the
+            // loop already extrapolates by it.
+            let factor = trips as f64 / limit as f64;
+            self.stats.loop_truncation = self.stats.loop_truncation.max(factor);
             // Truncated trace: execute `limit` iterations *strided across
             // the full trip count*, so non-stationary bodies (triangular
             // guards, rotated walks) are sampled representatively rather
@@ -1206,8 +1286,6 @@ impl<'a, S: MemSink + ?Sized, const SAN: bool> BlockCtx<'a, S, SAN> {
                 self.exec_body(&l.body, m)?;
                 self.stats.warp_insts += 2 * self.masks[m].warps;
             }
-            let factor = trips as f64 / limit as f64;
-            self.stats.loop_truncation = self.stats.loop_truncation.max(factor);
         } else {
             loop {
                 self.step()?;
@@ -2436,6 +2514,56 @@ mod tests {
         let full_guarded_requests = 2 * 512; // 2 sampled blocks x 512 rows
         let ratio = scaled.gmem_requests as f64 / full_guarded_requests as f64;
         assert!((0.7..1.3).contains(&ratio), "ratio {ratio}");
+    }
+
+    /// Two sampled blocks of a 64×-truncated loop, under a budget of one
+    /// millisecond per extrapolated warp instruction.
+    fn budgeted_row_sum(limit_ms: f64) -> Result<ExecStats, ExecError> {
+        let k = parse_kernel(
+            "__global__ void f(float a[n][n], float c[n], int n) {
+                float s = 0.0f;
+                for (int r = 0; r < n; r = r + 1) { s += a[r][idx]; }
+                c[idx] = s;
+            }",
+        )
+        .unwrap();
+        let b = binds(&[("n", 1024)]);
+        let layouts = resolve_layouts_padded(&k, &b).unwrap();
+        let mut dev = Device::new(MachineDesc::gtx280());
+        for p in k.array_params() {
+            dev.alloc_phantom(layouts[&p.name].clone());
+        }
+        let budget = ExecBudget {
+            limit_ms,
+            base_ms: 0.0,
+            ms_per_warp_inst: 1.0,
+            ms_per_global_byte: 0.0,
+            ms_per_gmem_request: 0.0,
+        };
+        let opts = ExecOptions {
+            sample_blocks: Some(2),
+            max_outer_iters: Some(16),
+            budget: Some(budget),
+            ..ExecOptions::default()
+        };
+        launch(&k, &LaunchConfig::one_d(64, 16), &b, &mut dev, &opts)
+    }
+
+    #[test]
+    fn budget_stops_only_traces_that_provably_exceed_it() {
+        let free = budgeted_row_sum(f64::INFINITY).unwrap();
+        let whole = free.scaled(free.extrapolation()).warp_insts as f64;
+        // At exactly the finished trace's bound, the run completes unchanged.
+        assert_eq!(budgeted_row_sum(whole).unwrap(), free);
+        // Below it, the run stops after the first block: the partial
+        // counters, extrapolated by the blocks and the truncation recorded
+        // at loop entry, already cross the limit.
+        match budgeted_row_sum(whole / 3.0) {
+            Err(ExecError::OverBudget(bound)) => {
+                assert!(bound > whole / 3.0 && bound < whole, "{bound} vs {whole}");
+            }
+            other => panic!("expected a pruned trace, got {other:?}"),
+        }
     }
 
     fn san() -> ExecOptions {

@@ -35,8 +35,8 @@ pub mod value;
 pub use cost::{AnalyticModel, CostModel, CostModelKind, HierarchyModel};
 pub use device::{Buffer, Device, DeviceError};
 pub use exec::{
-    launch, launch_with_sink, ExecError, ExecOptions, ExecStats, MemEvent, MemSink, NullSink,
-    VecSink,
+    launch, launch_with_sink, ExecBudget, ExecError, ExecOptions, ExecStats, MemEvent, MemSink,
+    NullSink, VecSink,
 };
 pub use machine::{MachineDesc, PartitionGeometry};
 pub use mem::{HierarchySim, HierarchyStats};

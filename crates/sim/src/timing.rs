@@ -17,7 +17,9 @@
 
 use crate::cost::CostModelKind;
 use crate::device::Device;
-use crate::exec::{execute, ExecError, ExecOptions, ExecStats, MemEvent, NullSink, VecSink};
+use crate::exec::{
+    execute, ExecBudget, ExecError, ExecOptions, ExecStats, MemEvent, NullSink, VecSink,
+};
 use crate::lower::lower;
 use crate::machine::MachineDesc;
 use crate::mem::HierarchyStats;
@@ -60,6 +62,12 @@ pub struct PerfOptions {
     /// blocks, so the default stays serial; verification-sized launches
     /// benefit.
     pub block_clusters: usize,
+    /// Stop the trace with [`ExecError::OverBudget`] once its partial
+    /// counters prove the estimate would exceed this many milliseconds.
+    /// An estimate that completes is identical to an unbudgeted one. The
+    /// design-space explorer sets it to the time of the point it evaluated
+    /// first.
+    pub prune_above_ms: Option<f64>,
 }
 
 impl Default for PerfOptions {
@@ -71,9 +79,15 @@ impl Default for PerfOptions {
             deadline: None,
             cost_model: CostModelKind::Analytic,
             block_clusters: 1,
+            prune_above_ms: None,
         }
     }
 }
+
+/// Relative headroom on a prune limit. The trace bounds the time with the
+/// same formulas as [`finish`], evaluated in a different order; this is far
+/// above that rounding error and far below any gap worth a trace.
+const PRUNE_HEADROOM: f64 = 1e-9;
 
 /// Errors raised by the timing model.
 #[derive(Debug, Clone, PartialEq)]
@@ -334,6 +348,11 @@ pub(crate) fn sample_trace(
         fuel: opts.fuel,
         deadline: opts.deadline,
         block_clusters: opts.block_clusters,
+        // A model that replays the event stream takes its memory and
+        // latency bounds from the replay, so only compute can prune it.
+        budget: opts
+            .prune_above_ms
+            .map(|limit| prune_budget(kernel, cfg, machine, blocks_per_sm, limit, collect_events)),
         ..ExecOptions::default()
     };
     let program = lower(kernel, cfg, bindings, &device)?;
@@ -346,12 +365,7 @@ pub(crate) fn sample_trace(
     };
     let trace_micros = trace_started.elapsed().as_micros() as u64;
 
-    let block_factor = if stats.blocks_executed == 0 {
-        1.0
-    } else {
-        stats.total_blocks as f64 / stats.blocks_executed as f64
-    };
-    let factor = block_factor * stats.loop_truncation;
+    let factor = stats.extrapolation();
     Ok(SampledTrace {
         stats: stats.scaled(factor),
         factor,
@@ -373,10 +387,7 @@ pub fn finish(
     blocks_per_sm: u32,
     stats: ExecStats,
 ) -> PerfEstimate {
-    let warps_per_block = cfg.threads_per_block().div_ceil(machine.warp_size);
-    let active_warps = (blocks_per_sm * warps_per_block).max(1);
-    // A launch with fewer blocks than SMs leaves the rest idle.
-    let busy_sms = (machine.sm_count as u64).min(cfg.total_blocks()).max(1) as f64;
+    let (active_warps, busy_sms) = residency(cfg, machine, blocks_per_sm);
 
     // Compute bound: all warp instructions, spread over the busy SMs, plus
     // bank-conflict serialization.
@@ -386,14 +397,9 @@ pub fn finish(
 
     // Bandwidth bound: moved bytes over sustained bandwidth, degraded by
     // partition imbalance (camping queues requests on one partition).
-    let widest = kernel
-        .array_params()
-        .map(|p| p.ty.size_bytes())
-        .max()
-        .unwrap_or(4);
     let imbalance = stats.partition_imbalance();
     let memory_cycles =
-        stats.global_bytes as f64 / machine.bytes_per_cycle(widest) * imbalance;
+        stats.global_bytes as f64 / machine.bytes_per_cycle(widest_elem(kernel)) * imbalance;
 
     // Latency bound: each half-warp request keeps its warp waiting; the
     // resident warps hide each other's latency.
@@ -427,6 +433,63 @@ pub fn finish(
         model_micros: 0,
         hierarchy: None,
         stats,
+    }
+}
+
+/// Warps resident per SM, and the SMs a launch keeps busy (a launch with
+/// fewer blocks than SMs leaves the rest idle).
+pub(crate) fn residency(
+    cfg: &LaunchConfig,
+    machine: &MachineDesc,
+    blocks_per_sm: u32,
+) -> (u32, f64) {
+    let warps_per_block = cfg.threads_per_block().div_ceil(machine.warp_size);
+    let active_warps = (blocks_per_sm * warps_per_block).max(1);
+    let busy_sms = (machine.sm_count as u64).min(cfg.total_blocks()).max(1) as f64;
+    (active_warps, busy_sms)
+}
+
+/// Widest array element in bytes (drives sustained-bandwidth efficiency).
+pub(crate) fn widest_elem(kernel: &Kernel) -> u32 {
+    kernel
+        .array_params()
+        .map(|p| p.ty.size_bytes())
+        .max()
+        .unwrap_or(4)
+}
+
+/// The trace budget that stops an estimate once it provably exceeds
+/// `limit_ms`: [`finish`]'s compute, bandwidth and latency bounds as costs
+/// per extrapolated counter, over one launch overhead. What the budget
+/// leaves out only adds time: bank-conflict cycles, the partition
+/// imbalance (≥ 1), the `max(1)` cycle floor and launches for `__gsync`
+/// crossings. With `replayed` (a model that replays the event stream) only
+/// the compute bound applies.
+fn prune_budget(
+    kernel: &Kernel,
+    cfg: &LaunchConfig,
+    machine: &MachineDesc,
+    blocks_per_sm: u32,
+    limit_ms: f64,
+    replayed: bool,
+) -> ExecBudget {
+    let (active_warps, busy_sms) = residency(cfg, machine, blocks_per_sm);
+    let ms_per_cycle = 1e3 / (machine.clock_ghz * 1e9);
+    let (ms_per_global_byte, ms_per_gmem_request) = if replayed {
+        (0.0, 0.0)
+    } else {
+        let hiding = f64::from(active_warps.min(32));
+        (
+            ms_per_cycle / machine.bytes_per_cycle(widest_elem(kernel)),
+            ms_per_cycle * machine.mem_latency_cycles / busy_sms / hiding,
+        )
+    };
+    ExecBudget {
+        limit_ms: limit_ms * (1.0 + PRUNE_HEADROOM),
+        base_ms: LAUNCH_OVERHEAD_US / 1e3,
+        ms_per_warp_inst: ms_per_cycle * CYCLES_PER_WARP_INST / busy_sms,
+        ms_per_global_byte,
+        ms_per_gmem_request,
     }
 }
 
@@ -500,6 +563,44 @@ mod tests {
             t_naive.time_ms
         );
         assert!(t_coal.coalescing_efficiency > t_naive.coalescing_efficiency);
+    }
+
+    #[test]
+    fn prune_budget_stops_only_estimates_above_it() {
+        let k = parse_kernel(NAIVE_MM).unwrap();
+        let b = binds(&[("n", 512), ("w", 512)]);
+        let cfg = LaunchConfig {
+            grid_x: 32,
+            grid_y: 512,
+            block_x: 16,
+            block_y: 1,
+        };
+        let m = MachineDesc::gtx280();
+        for cost_model in CostModelKind::ALL {
+            let free_opts = PerfOptions {
+                cost_model,
+                ..PerfOptions::default()
+            };
+            let mut free = estimate(&k, &cfg, &b, &m, &free_opts).unwrap();
+            let at_own_time = PerfOptions {
+                prune_above_ms: Some(free.time_ms),
+                ..free_opts.clone()
+            };
+            let mut capped = estimate(&k, &cfg, &b, &m, &at_own_time).unwrap();
+            for est in [&mut free, &mut capped] {
+                (est.trace_micros, est.lower_micros, est.model_micros) = (0, 0, 0);
+            }
+            assert_eq!(capped, free, "{cost_model}");
+            // Every launch costs its overhead, so a zero budget prunes.
+            let zero = PerfOptions {
+                prune_above_ms: Some(0.0),
+                ..free_opts
+            };
+            assert!(matches!(
+                estimate(&k, &cfg, &b, &m, &zero),
+                Err(PerfError::Exec(ExecError::OverBudget(bound))) if bound > 0.0
+            ));
+        }
     }
 
     #[test]

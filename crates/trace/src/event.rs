@@ -242,6 +242,17 @@ pub enum TraceEvent {
         /// True when the slot was retried once before being skipped.
         retried: bool,
     },
+    /// §4 design space: a point's trace stopped once its partial counters
+    /// proved it slower than the point probed first, so it cannot win.
+    CandidatePruned {
+        /// Candidate label, e.g. `bx32_ty1_tx4`.
+        label: String,
+        /// Lower bound on the point's time when the trace stopped, in
+        /// milliseconds.
+        bound_ms: f64,
+        /// The probed point's time the bound exceeded, in milliseconds.
+        incumbent_ms: f64,
+    },
     /// The pipeline fell back to the verified naive kernel.
     Degraded {
         /// Stable degradation reason (`all-candidates-failed`,
@@ -400,6 +411,7 @@ impl TraceEvent {
             TraceEvent::AnalysisCacheHit { .. } => "analysis-cache-hit",
             TraceEvent::AnalysisInvalidated { .. } => "analysis-invalidated",
             TraceEvent::CandidateFault { .. } => "fault",
+            TraceEvent::CandidatePruned { .. } => "candidate-pruned",
             TraceEvent::Degraded { .. } => "degraded",
             TraceEvent::Sanitizer { .. } => "sanitizer",
             TraceEvent::ServiceRequest { .. } => "service-request",
@@ -551,6 +563,13 @@ impl TraceEvent {
                 let suffix = if *retried { " after one retry" } else { "" };
                 format!("candidate {label}: contained fault{suffix} ({fault})")
             }
+            TraceEvent::CandidatePruned {
+                label,
+                bound_ms,
+                incumbent_ms,
+            } => format!(
+                "candidate {label}: pruned (≥ {bound_ms:.4} ms, incumbent {incumbent_ms:.4} ms)"
+            ),
             TraceEvent::Degraded { reason, detail } => {
                 format!("degraded to naive kernel ({reason}: {detail})")
             }
@@ -783,6 +802,15 @@ impl TraceEvent {
                 put("fault", Json::str(fault));
                 put("retried", Json::Bool(*retried));
             }
+            TraceEvent::CandidatePruned {
+                label,
+                bound_ms,
+                incumbent_ms,
+            } => {
+                put("label", Json::str(label));
+                put("bound_ms", Json::num(*bound_ms));
+                put("incumbent_ms", Json::num(*incumbent_ms));
+            }
             TraceEvent::Degraded { reason, detail } => {
                 put("reason", Json::str(reason));
                 put("detail", Json::str(detail));
@@ -952,6 +980,11 @@ mod tests {
                 label: "bx8_ty4_tx1".into(),
                 fault: "panic: boom".into(),
                 retried: true,
+            },
+            TraceEvent::CandidatePruned {
+                label: "bx32_ty1_tx4".into(),
+                bound_ms: 91.5,
+                incumbent_ms: 64.6,
             },
             TraceEvent::AnalysisCacheHit {
                 analysis: "accesses",

@@ -6,7 +6,7 @@
 //! cargo run --release --example design_space
 //! ```
 
-use gpgpu::core::{compile, CompileOptions};
+use gpgpu::core::{compile, full_sweep, CompileOptions};
 use gpgpu::kernels::naive;
 use gpgpu::sim::MachineDesc;
 
@@ -18,10 +18,12 @@ fn main() {
             ..CompileOptions::new(MachineDesc::gtx280())
         };
         let compiled = compile(&mm, &opts).expect("mm compiles");
-        println!("matrix size {n}x{n}: explored {} versions", compiled.evaluated.len());
+        // Every version, including any the search pruned as unable to win.
+        let sweep = full_sweep(&mm, &opts, &compiled);
+        println!("matrix size {n}x{n}: explored {} versions", sweep.len());
         println!("  blocks-merged-X  threads-merged-Y   est. GFLOPS");
         let flops = (naive::MM.flops)(n);
-        for cand in &compiled.evaluated {
+        for (cand, _) in &sweep {
             let gflops = flops / (cand.time_ms * 1e-3) / 1e9;
             let marker = if cand.block_merge_x == compiled.chosen.block_merge_x
                 && cand.thread_merge_y == compiled.chosen.thread_merge_y

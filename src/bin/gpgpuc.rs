@@ -189,7 +189,7 @@
 
 use gpgpu::ast::{parse_kernel, print_kernel, PrintOptions};
 use gpgpu::core::{
-    compile, verify_equivalence, CompileOptions, CompilerError, StageSet, TuningStore,
+    compile, verify_equivalence, CompileOptions, CompilerError, StageSet, TraceEvent, TuningStore,
 };
 use gpgpu::fusion::{compile_unit, FusionError, UnitCompile, UnitError};
 use gpgpu::service::{
@@ -1689,16 +1689,23 @@ fn main() -> ExitCode {
             pass_total as f64 / 1000.0
         );
         eprintln!("== design space ==");
-        for cand in &compiled.evaluated {
-            eprintln!(
-                "  block-merge-x {:>2}, thread-merge-y {:>2}{}: {:.3} ms",
-                cand.block_merge_x,
-                cand.thread_merge_y,
-                cand.reduction_elems
-                    .map(|e| format!(", {e} elems/thread"))
-                    .unwrap_or_default(),
-                cand.time_ms
-            );
+        for event in compiled.trace.events() {
+            match event {
+                TraceEvent::CandidateEvaluated {
+                    label,
+                    time_ms,
+                    rejected: None,
+                    ..
+                } => eprintln!("  {label:<14} {time_ms:.3} ms"),
+                TraceEvent::CandidatePruned {
+                    label,
+                    bound_ms,
+                    incumbent_ms,
+                } => eprintln!(
+                    "  {label:<14} pruned ≥ {bound_ms:.3} ms (incumbent {incumbent_ms:.3} ms)"
+                ),
+                _ => {}
+            }
         }
         if let Some(report) = &compiled.tuning {
             eprintln!("== tuning store ==");

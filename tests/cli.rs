@@ -54,6 +54,13 @@ fn compiles_from_stdin_with_report_and_verification() {
     assert!(stdout.contains("__shared__"), "{stdout}");
     assert!(stderr.contains("== pass log =="), "{stderr}");
     assert!(stderr.contains("== design space =="), "{stderr}");
+    // A 1-D kernel's points differ in their X thread merge; the report
+    // names every point by its full label.
+    let space = stderr
+        .split("== design space ==")
+        .nth(1)
+        .unwrap_or_default();
+    assert!(space.contains("bx1_ty1_tx2"), "{stderr}");
     assert!(
         stderr.contains("optimized output matches the naive kernel"),
         "{stderr}"

@@ -10,7 +10,7 @@
 //!   compiled winner, and the winner with every applicable
 //!   [`InjectKind`] planted, under four option sets (plain, sanitize,
 //!   the timing model's sampling options, two block clusters);
-//! * `table1`: every explorer candidate's estimate counters and the
+//! * `table1`: every design point's estimate counters (a full sweep) and the
 //!   winner's full scaled `ExecStats` for the ten Table-1 kernels at
 //!   their default sizes.
 //!
@@ -22,7 +22,7 @@ mod common;
 
 use gpgpu::analysis::{resolve_layouts_padded, Bindings};
 use gpgpu::core::trace::parse_json;
-use gpgpu::core::{compile, CompileOptions, CompiledKernel, KernelLaunch};
+use gpgpu::core::{compile, full_sweep, CompileOptions, CompiledKernel, KernelLaunch};
 use gpgpu::fuzz::{inject, FuzzRng, InjectKind, KernelSpec};
 use gpgpu::sim::{launch_with_sink, Device, ExecOptions, ExecStats, MachineDesc, VecSink};
 use std::collections::BTreeMap;
@@ -235,13 +235,14 @@ fn table1_kernel(bench: &gpgpu::kernels::Benchmark) -> BTreeMap<String, String> 
     }
     let compiled = compile(&kernel, &opts).expect("table-1 kernel compiles");
     let mut out = BTreeMap::new();
-    for cand in compiled.metrics.candidates() {
+    // The full sweep, so points the search pruned are pinned too.
+    for (point, counters) in full_sweep(&kernel, &opts, &compiled) {
         let mut h = Fnv::new();
-        for (name, value) in cand.counters.iter() {
+        for (name, value) in counters.iter() {
             h.str(name);
             h.u64(value.to_bits());
         }
-        out.insert(cand.label.clone(), h.hex());
+        out.insert(point.label(), h.hex());
     }
     let mut h = Fnv::new();
     h.str(&compiled.source);
